@@ -6,10 +6,10 @@
 // the micro-batcher's MaxBatch cap, and the execution engine (Graph
 // interpreter vs frozen static plan). Rows (req/s, p50/p99 latency per
 // engine) land in BENCH_serve.json for tracking scripts; the expected
-// shape is that
-// an unbatched server's latency grows linearly with concurrency while
-// the batched one amortizes the forward pass once batches fill (paying
-// a bounded companion wait when traffic is too thin to batch).
+// shape is that an unbatched server's latency grows linearly with
+// concurrency while the batched one amortizes the forward pass once
+// requests queue behind busy forwards. Batches form from load, not from
+// a timer, so a lone client runs alone at unbatched latency.
 //
 //===----------------------------------------------------------------------===//
 
@@ -272,10 +272,11 @@ int main() {
   std::printf("%s", Out.render().c_str());
   std::printf("\nexpected shape: with the cap at 1 every request pays its "
               "own forward pass, so\nlatency climbs roughly linearly with "
-              "the client count; with the cap at 8 a lone\nclient pays the "
-              "bounded companion wait (MaxWaitMicros), but once enough "
-              "clients\narrive batches fill early and req/s scales past "
-              "the unbatched ceiling.\n");
+              "the client count; with the cap at 8 a lone\nclient runs "
+              "alone just as fast (no companion timer), and once more "
+              "clients\narrive than forwards can run, the queued ones share "
+              "the next batch and req/s\nscales past the unbatched "
+              "ceiling.\n");
 
   const std::string JsonPath = "BENCH_serve.json";
   Error WriteErr = writeFile(JsonPath, "[\n  " + JsonRows + "\n]\n");

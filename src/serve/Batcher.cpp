@@ -18,12 +18,9 @@ Batcher::Batcher(std::shared_ptr<AssembledNetwork> Network,
                  LatencyHistogram *Latency,
                  std::shared_ptr<const ExecPlan> Plan, ContextPool *Pool)
     : Network(std::move(Network)), Plan(std::move(Plan)), Options(Options),
-      Log(Log), Latency(Latency), Pool(Pool) {
+      Log(Log), Latency(Latency), OwnContexts(Options.Pool),
+      Pool(Pool ? Pool : &OwnContexts) {
   assert(this->Network && "batcher needs a network");
-  const int Count = std::max(1, Options.Workers);
-  Workers.reserve(static_cast<size_t>(Count));
-  for (int I = 0; I < Count; ++I)
-    Workers.emplace_back([this] { loop(); });
 }
 
 Batcher::~Batcher() { stop(); }
@@ -41,8 +38,17 @@ Result<Prediction> Batcher::predict(const Tensor &Sample) {
     if (Queue.size() >= Options.MaxQueuedRequests)
       return Error::failure("model overloaded");
     Queue.push_back(&Mine);
-    WorkReady.notify_one();
-    BatchDone.wait(Lock, [&] { return Mine.Done; });
+    Arrived.notify_all();
+    // Lead while our sample is queued and a slot is free; otherwise
+    // follow until a slot frees or whichever leader took it finishes.
+    // A leader keeps leading until its own sample is done, since FIFO
+    // order may put it in a later batch than the first one it cuts.
+    while (!Mine.Done) {
+      if (!Mine.Taken && Running < std::max(1, Options.Workers))
+        lead(Lock);
+      else
+        Finished.wait(Lock);
+    }
   }
   if (!Mine.Error.empty())
     return Error::failure(Mine.Error);
@@ -62,75 +68,44 @@ Result<Prediction> Batcher::predict(const Tensor &Sample) {
   return Out;
 }
 
-void Batcher::loop() {
-  // Each worker forwards through a private execution context over the
-  // shared model: the Graph's parameters are read-only during serving,
-  // so workers run concurrent forwards without copying a single weight.
-  // When the model was frozen into a static plan the same pattern holds
-  // with a private PlanContext over the shared immutable ExecPlan. With
-  // a registry pool the contexts are borrowed per batch instead of
-  // pinned per thread, so idle models release their buffers.
-  ExecContext Ctx;
-  PlanContext PlanCtx;
-  if (!Pool) {
-    Ctx.bind(Network->Network);
-    if (Plan)
-      PlanCtx.bind(*Plan);
+void Batcher::lead(std::unique_lock<std::mutex> &Lock) {
+  ++Running;
+  const size_t Cap = static_cast<size_t>(std::max(1, Options.MaxBatch));
+  // Optional linger: give companions MaxWaitMicros to arrive, but never
+  // more, and stop waiting once a full batch is queued.
+  if (Options.MaxWaitMicros > 0)
+    Arrived.wait_until(Lock,
+                       std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(Options.MaxWaitMicros),
+                       [&] { return Stopping || Queue.size() >= Cap; });
+  std::vector<Pending *> Batch;
+  while (!Queue.empty() && Batch.size() < Cap) {
+    Pending *P = Queue.front();
+    Queue.pop_front();
+    P->Taken = true;
+    Batch.push_back(P);
   }
-  std::unique_lock<std::mutex> Lock(Mutex);
-  for (;;) {
-    WorkReady.wait(Lock, [&] { return Stopping || !Queue.empty(); });
-    if (Queue.empty()) {
-      if (Stopping)
-        return;
-      continue;
-    }
-    // Bounded coalescing wait: the first sample is already here; give
-    // companions MaxWaitMicros to arrive, but never more, and cut at
-    // MaxBatch. A full batch skips the wait entirely.
-    const auto Deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(Options.MaxWaitMicros);
-    while (Queue.size() < static_cast<size_t>(Options.MaxBatch) &&
-           !Stopping) {
-      if (WorkReady.wait_until(Lock, Deadline) ==
-          std::cv_status::timeout)
-        break;
-    }
-    // The wait releases the lock, so a companion worker may have drained
-    // the queue in the meantime: go back to waiting instead of cutting
-    // an empty batch.
-    if (Queue.empty()) {
-      if (Stopping)
-        return;
-      continue;
-    }
-    std::vector<Pending *> Batch;
-    const size_t Take =
-        std::min(Queue.size(), static_cast<size_t>(Options.MaxBatch));
-    for (size_t I = 0; I < Take; ++I) {
-      Batch.push_back(Queue.front());
-      Queue.pop_front();
-    }
+  // The linger releases the lock, so another leader or stop() may have
+  // emptied the queue meanwhile: then just give the slot back.
+  if (!Batch.empty()) {
+    // Forwards run unlocked, each through a context borrowed for this
+    // batch: the model's parameters are read-only during serving, so
+    // concurrent leaders share one Graph (or frozen ExecPlan) without
+    // copying a weight.
     Lock.unlock();
-    if (Pool) {
+    {
       ContextPool::Lease Lease = Pool->acquire(Network, Plan.get());
       if (Plan)
         runBatch(Lease.plan(), Batch);
       else
         runBatch(Lease.exec(), Batch);
-    } else if (Plan) {
-      runBatch(PlanCtx, Batch);
-    } else {
-      runBatch(Ctx, Batch);
     }
     Lock.lock();
     for (Pending *P : Batch)
       P->Done = true;
-    BatchDone.notify_all();
-    if (Stopping && Queue.empty())
-      return;
   }
+  --Running;
+  Finished.notify_all();
 }
 
 Tensor Batcher::assembleBatch(const std::vector<Pending *> &Batch) {
@@ -206,27 +181,21 @@ void Batcher::runBatch(PlanContext &Ctx, std::vector<Pending *> &Batch) {
 }
 
 void Batcher::stop() {
-  bool FirstStop = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (!Stopping) {
-      Stopping = true;
-      FirstStop = true;
-      // Everything still queued fails fast: drain means "finish what is
-      // running, refuse the rest", and these have not started.
-      for (Pending *P : Queue) {
-        P->Error = "model is draining";
-        P->Done = true;
-      }
-      Queue.clear();
-      WorkReady.notify_all();
-      BatchDone.notify_all();
+  std::unique_lock<std::mutex> Lock(Mutex);
+  if (!Stopping) {
+    Stopping = true;
+    // Everything still queued fails fast: drain means "finish what is
+    // running, refuse the rest", and these have not started.
+    for (Pending *P : Queue) {
+      P->Error = "model is draining";
+      P->Done = true;
     }
+    Queue.clear();
+    Arrived.notify_all();
+    Finished.notify_all();
   }
-  if (FirstStop)
-    for (std::thread &W : Workers)
-      if (W.joinable())
-        W.join();
+  // Forwards in flight run on their leaders' threads; wait them out.
+  Finished.wait(Lock, [&] { return Running == 0; });
 }
 
 //===----------------------------------------------------------------------===//
@@ -247,7 +216,7 @@ Error ModelRegistry::add(const std::string &Id,
   Model->Classes = Classes;
   Model->Origin = std::move(Origin);
   if (Batching.UsePlans) {
-    // Freeze the model once, at registration: every batcher worker then
+    // Freeze the model once, at registration: every forward then
     // executes the shared immutable plan through a private PlanContext.
     // A graph the plan compiler cannot lower (exotic layer kinds) is not
     // an error — it just serves through the interpreter.
@@ -265,7 +234,7 @@ Error ModelRegistry::add(const std::string &Id,
     // Interpreter-served models warm the process-wide weight-panel
     // cache at registration, so the first predict request does not pay
     // for packing: every conv and dense weight is packed exactly once
-    // per process here and shared read-only by all batcher workers.
+    // per process here and shared read-only by all forwards.
     // (Plan-served models carry their own panels, packed at freeze.)
     PackedWeightsCache &Cache = PackedWeightsCache::instance();
     size_t Warmed = 0;
@@ -294,8 +263,7 @@ Error ModelRegistry::add(const std::string &Id,
                 static_cast<int64_t>(Warmed));
   }
   Model->Engine = std::make_unique<Batcher>(
-      std::move(Network), Batching, Log, Latency, Model->Plan,
-      Batching.PoolContexts ? &Contexts : nullptr);
+      std::move(Network), Batching, Log, Latency, Model->Plan, &Contexts);
   std::lock_guard<std::mutex> Lock(Mutex);
   auto [It, Inserted] = Models.emplace(Id, std::move(Model));
   (void)It;
@@ -319,7 +287,7 @@ Error ModelRegistry::remove(const std::string &Id) {
     Order.erase(std::remove(Order.begin(), Order.end(), Id), Order.end());
   }
   // Stop outside the lock: predict() callers inside the engine must be
-  // able to finish while we wait for the workers to join.
+  // able to finish while we wait for their forwards.
   Victim->Engine->stop();
   std::lock_guard<std::mutex> Lock(Mutex);
   Retired.push_back(std::move(Victim));

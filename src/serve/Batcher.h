@@ -6,19 +6,21 @@
 ///
 /// \file
 /// The inference path of the serve daemon. Each servable model owns one
-/// Batcher: a small pool of worker threads that share the model's Graph
-/// read-only, each forwarding through a private ExecContext, so one hot
-/// model scales across workers instead of being pinned to a single
-/// thread. Workers coalesce concurrent predict requests into one NCHW
-/// batch, which is what lets HTTP traffic exercise the batch-parallel
-/// Conv2D kernels: when the first sample arrives a worker waits up to
-/// MaxWaitMicros for companions (bounded wait), cuts the batch at
-/// MaxBatch, runs a single eval-mode forward, and fans the logit rows
-/// back out to the waiting request threads.
+/// Batcher, which owns no threads: every forward runs on a request
+/// thread. predict() queues its sample; when fewer than Workers forwards
+/// are running on the model, the caller becomes a leader, cuts up to
+/// MaxBatch queued samples in FIFO order, runs one eval-mode forward
+/// through a context borrowed from a ContextPool, and fans the logit
+/// rows back out. The other callers (followers) wait; a follower whose
+/// sample is still queued when a slot frees leads next. Batches form
+/// from load: requests that arrive while every slot is busy ride the
+/// next forward together, and a lone request runs at once. A non-zero
+/// MaxWaitMicros makes each leader linger that long for companions
+/// before it cuts its batch.
 ///
-/// Callers block in predict() on a condition variable; a bounded pending
-/// queue turns overload into an immediate "overloaded" error (the
-/// HTTP layer maps it to 429) instead of unbounded memory growth.
+/// A bounded pending queue turns overload into an immediate
+/// "overloaded" error (the HTTP layer maps it to 429) instead of
+/// unbounded memory growth.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace wootz {
@@ -48,24 +49,21 @@ namespace serve {
 struct BatcherOptions {
   /// Largest batch a single forward pass may carry.
   int MaxBatch = 8;
-  /// How long the first request of a batch waits for companions.
-  int MaxWaitMicros = 2000;
+  /// How long a leader lingers for companions before it cuts its batch.
+  /// 0 cuts at once: batches then form only from requests that queued
+  /// while every forward slot was busy.
+  int MaxWaitMicros = 0;
   /// Pending-request cap; beyond it predict() fails fast ("overloaded").
   size_t MaxQueuedRequests = 64;
-  /// Worker threads per model. Each forwards the shared Graph through a
-  /// private ExecContext, so concurrent batches overlap on one model.
+  /// Concurrent forwards per model. Each runs on its leader's thread
+  /// through a private context over the shared Graph.
   int Workers = 2;
   /// Freeze each registered model into a static ExecPlan at add() time
   /// and serve through PlanContexts instead of the Graph interpreter.
   /// Models whose graphs fail to compile fall back to the interpreter
   /// (the registry bumps `serve.models.plan_fallback`).
   bool UsePlans = false;
-  /// Acquire execution contexts from the registry-wide ContextPool per
-  /// batch instead of pinning one to every worker thread. Identical
-  /// outputs (contexts are scratch state); bounds idle memory via the
-  /// pool's trim policy.
-  bool PoolContexts = true;
-  /// Pool trim policy (meaningful with PoolContexts).
+  /// Trim policy of the context pool the forwards borrow from.
   ContextPoolOptions Pool;
 };
 
@@ -82,11 +80,11 @@ class Batcher {
 public:
   /// Takes shared ownership of \p Network; \p Log (optional) receives
   /// `serve.predict.*` counters, \p Latency (optional) per-request
-  /// forward latencies. When \p Plan is non-null every worker executes
+  /// forward latencies. When \p Plan is non-null every forward executes
   /// it through a private PlanContext instead of interpreting the
   /// Graph; the network is still kept alive for provenance.
   /// \p Pool (optional) supplies per-batch execution contexts; without
-  /// it every worker owns its contexts for its whole lifetime.
+  /// it the batcher borrows from a private pool of its own.
   Batcher(std::shared_ptr<AssembledNetwork> Network, BatcherOptions Options,
           RunLog *Log, LatencyHistogram *Latency,
           std::shared_ptr<const ExecPlan> Plan = nullptr,
@@ -97,12 +95,13 @@ public:
   Batcher &operator=(const Batcher &) = delete;
 
   /// Runs \p Sample (shape [1, C, H, W]) through the model, riding a
-  /// shared batch when traffic allows. Blocks until the result is ready;
-  /// fails fast when the queue is full or the batcher is stopping.
+  /// shared batch when traffic allows. Blocks until the result is ready,
+  /// running forwards on the calling thread while it leads; fails fast
+  /// when the queue is full or the batcher is stopping.
   Result<Prediction> predict(const Tensor &Sample);
 
   /// Rejects new work and fails everything still queued ("draining"),
-  /// then joins the worker threads. Idempotent.
+  /// then waits until no forward is in flight. Idempotent.
   void stop();
 
 private:
@@ -111,10 +110,15 @@ private:
     Tensor Logits;
     int BatchSize = 0;
     std::string Error; ///< Non-empty on failure.
+    bool Taken = false; ///< Cut into a batch (no longer queued).
     bool Done = false;
   };
 
-  void loop();
+  /// Called with \p Lock held: takes a forward slot, lingers for
+  /// companions when MaxWaitMicros asks, cuts a batch and runs it with
+  /// the lock released, then gives the slot back and wakes the
+  /// followers.
+  void lead(std::unique_lock<std::mutex> &Lock);
   void runBatch(ExecContext &Ctx, std::vector<Pending *> &Batch);
   void runBatch(PlanContext &Ctx, std::vector<Pending *> &Batch);
   /// Assembles one NCHW input tensor from the batch's [1,C,H,W] samples.
@@ -127,14 +131,17 @@ private:
   BatcherOptions Options;
   RunLog *Log = nullptr;
   LatencyHistogram *Latency = nullptr;
+  /// Used when no registry pool is given; declared after Network so its
+  /// contexts die before the graph they are bound to.
+  ContextPool OwnContexts;
   ContextPool *Pool = nullptr;
 
   std::mutex Mutex;
-  std::condition_variable WorkReady; ///< Signals the worker threads.
-  std::condition_variable BatchDone; ///< Broadcast to waiting callers.
+  std::condition_variable Arrived;  ///< A sample queued (lingering leaders).
+  std::condition_variable Finished; ///< A slot freed or samples finished.
   std::deque<Pending *> Queue;
+  int Running = 0; ///< Forward slots held by leaders.
   bool Stopping = false;
-  std::vector<std::thread> Workers;
 };
 
 /// A registered model: its network, expected input shape, and batcher.
@@ -164,9 +171,9 @@ public:
       : Batching(Batching), Log(Log), Latency(Latency),
         Contexts(Batching.Pool) {}
 
-  /// Engines stop (joining the worker threads that use the context
-  /// pool) before the pool's contexts are torn down, which in turn
-  /// happens while the model graphs are still alive.
+  /// Engines stop (waiting out the forwards that use the context pool)
+  /// before the pool's contexts are torn down, which in turn happens
+  /// while the model graphs are still alive.
   ~ModelRegistry() {
     stopAll();
     Contexts.clear();

@@ -337,14 +337,22 @@ TEST(CheckpointStoreConcurrencyTest, CaptureSaveLoadStress) {
   ASSERT_FALSE(static_cast<bool>(Store.saveTo(Dir.str())));
 
   std::atomic<bool> Stop{false};
+  std::atomic<bool> Inserted{false};
   std::thread Inserter([&] {
     for (int I = 0; I < 64; ++I)
       Store.insert("blk" + std::to_string(I), smallBundle());
+    Inserted = true;
   });
   std::thread Saver([&] {
-    for (int I = 0; I < 16; ++I) {
+    // At least 16 saves, and the last one must start after the final
+    // insert so the directory ends up holding every entry; the saves can
+    // otherwise all finish before the inserter has run at all.
+    for (int I = 0;; ++I) {
+      const bool AllInserted = Inserted.load();
       Error E = Store.saveTo(Dir.str());
-      ASSERT_FALSE(static_cast<bool>(E)) << E.message();
+      EXPECT_FALSE(static_cast<bool>(E)) << E.message();
+      if (E || (I >= 15 && AllInserted))
+        break;
     }
     Stop = true;
   });

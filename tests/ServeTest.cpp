@@ -29,10 +29,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <future>
+#include <mutex>
 #include <thread>
 
 using namespace wootz;
@@ -712,6 +715,9 @@ TEST(ServeBatcherTest, BatchedLogitsMatchSoloInference) {
   Companion.join();
   Crowded.stop();
   ASSERT_TRUE(static_cast<bool>(Together)) << Together.message();
+  // The linger makes the two requests share a forward; riding alone
+  // would leave nothing to compare.
+  EXPECT_GE(Together->BatchSize, 2);
 
   // Riding a batch must not change the answer.
   ASSERT_EQ(Together->Logits.size(), Alone->Logits.size());
@@ -797,8 +803,8 @@ TEST(ServeBatcherPoolTest, ConcurrentWorkersAreBitIdenticalToSolo) {
   for (int I = 0; I < Requests; ++I)
     Samples.push_back(sampleInput(Model, 0.07f * static_cast<float>(I)));
 
-  // Reference: one worker, batch-of-one — every sample forwards alone,
-  // strictly serially.
+  // Reference: one forward slot, batch-of-one — every sample forwards
+  // alone, strictly serially.
   std::vector<Tensor> Reference(Requests);
   {
     BatcherOptions Solo;
@@ -813,10 +819,10 @@ TEST(ServeBatcherPoolTest, ConcurrentWorkersAreBitIdenticalToSolo) {
     Engine.stop();
   }
 
-  // Pool: four workers, still batch-of-one, every request in flight at
-  // once. Concurrent forwards over the one shared Graph run through
-  // private per-worker contexts, so each answer must reproduce the
-  // serial logits bit for bit.
+  // Pool: four forward slots, still batch-of-one, every request in
+  // flight at once. Concurrent forwards over the one shared Graph run
+  // through private per-forward contexts, so each answer must reproduce
+  // the serial logits bit for bit.
   BatcherOptions Pooled;
   Pooled.MaxBatch = 1;
   Pooled.Workers = 4;
@@ -870,15 +876,16 @@ TEST(ServeBatcherPoolTest, CoalescedPoolMatchesSoloInference) {
     Engine.stop();
   }
 
-  // Two workers with real coalescing: requests ride shared batches cut
-  // by whichever worker wins the queue. Riding a batch through the pool
-  // must not change any answer.
+  // Two forward slots with real coalescing: requests ride shared batches
+  // cut by whichever leader wins the queue. Riding a batch through the
+  // pool must not change any answer.
   BatcherOptions Pooled;
   Pooled.MaxBatch = 4;
   Pooled.Workers = 2;
   Pooled.MaxWaitMicros = 50000;
   Batcher Engine(Model.Network, Pooled, nullptr, nullptr);
   std::vector<Tensor> Got(Requests);
+  std::vector<int> Sizes(Requests, 0);
   std::vector<std::string> Errors(Requests);
   std::vector<std::thread> Clients;
   for (int I = 0; I < Requests; ++I)
@@ -889,6 +896,7 @@ TEST(ServeBatcherPoolTest, CoalescedPoolMatchesSoloInference) {
         return;
       }
       Got[I] = std::move(Out->Logits);
+      Sizes[I] = Out->BatchSize;
     });
   for (std::thread &Client : Clients)
     Client.join();
@@ -901,6 +909,10 @@ TEST(ServeBatcherPoolTest, CoalescedPoolMatchesSoloInference) {
       EXPECT_NEAR(Got[I].data()[K], Reference[I].data()[K], 1e-4f)
           << "request " << I << " logit " << K;
   }
+  // Six requests over two slots with a lingering leader: some answers
+  // must come from a shared batch, or the comparison above is solo
+  // against solo.
+  EXPECT_GE(*std::max_element(Sizes.begin(), Sizes.end()), 2);
 }
 
 TEST(ServeBatcherTest, StopFailsFurtherPredictions) {
@@ -912,6 +924,170 @@ TEST(ServeBatcherTest, StopFailsFurtherPredictions) {
   Result<Prediction> Out = Engine.predict(Sample);
   ASSERT_FALSE(static_cast<bool>(Out));
   EXPECT_NE(Out.message().find("draining"), std::string::npos);
+}
+
+TEST(ServeBatcherTest, LonePredictRunsAloneByDefault) {
+  // No companion timer by default: a lone request is its own batch.
+  EXPECT_EQ(BatcherOptions().MaxWaitMicros, 0);
+  const BuiltModel &Model = builtModel();
+  ASSERT_TRUE(Model.Network);
+  Batcher Engine(Model.Network, BatcherOptions(), nullptr, nullptr);
+  Result<Prediction> Out = Engine.predict(sampleInput(Model, 0.6f));
+  ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
+  EXPECT_EQ(Out->BatchSize, 1);
+}
+
+/// A logits layer that blocks every forward until the test opens it, so
+/// a test can hold a forward in flight for as long as it needs.
+struct ForwardGate {
+  std::mutex Mutex;
+  std::condition_variable Changed;
+  int Entered = 0;
+  std::vector<int> BatchSizes; ///< Per forward, in entry order.
+  bool Open = false;
+
+  void waitEntered(int Count) {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Changed.wait(Lock, [&] { return Entered >= Count; });
+  }
+  void open() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Open = true;
+    Changed.notify_all();
+  }
+};
+
+class GateLayer : public Layer {
+public:
+  explicit GateLayer(std::shared_ptr<ForwardGate> Gate)
+      : Gate(std::move(Gate)) {}
+  std::string kind() const override { return "gate"; }
+  Shape outputShape(const std::vector<Shape> &In) const override {
+    return Shape{In[0][0], 2};
+  }
+  void forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
+               LayerScratch &, bool) const override {
+    {
+      std::unique_lock<std::mutex> Lock(Gate->Mutex);
+      ++Gate->Entered;
+      Gate->BatchSizes.push_back(Inputs[0]->shape()[0]);
+      Gate->Changed.notify_all();
+      Gate->Changed.wait(Lock, [&] { return Gate->Open; });
+    }
+    // Logit row i is (x_i, -x_i), x_i the sample's first value.
+    const size_t SampleSize = Inputs[0]->size() / Out.shape()[0];
+    for (int I = 0; I < Out.shape()[0]; ++I) {
+      const float X = Inputs[0]->data()[I * SampleSize];
+      Out.data()[2 * I] = X;
+      Out.data()[2 * I + 1] = -X;
+    }
+  }
+  void backward(const std::vector<const Tensor *> &, const Tensor &,
+                const Tensor &, LayerScratch &,
+                const std::vector<Tensor *> &) override {}
+
+private:
+  std::shared_ptr<ForwardGate> Gate;
+};
+
+std::shared_ptr<AssembledNetwork>
+gatedNetwork(std::shared_ptr<ForwardGate> Gate) {
+  auto Net = std::make_shared<AssembledNetwork>();
+  Net->Network.addInput("in");
+  Net->Network.addNode("logits", std::make_unique<GateLayer>(Gate), {"in"});
+  Net->InputNode = "in";
+  Net->LogitsNode = "logits";
+  return Net;
+}
+
+Tensor gatedSample(float First) {
+  Tensor Sample(Shape{1, 1, 2, 2});
+  Sample.data()[0] = First;
+  return Sample;
+}
+
+TEST(ServeBatcherTest, StopWaitsForInFlightForwardAndFailsQueued) {
+  auto Gate = std::make_shared<ForwardGate>();
+  BatcherOptions Options;
+  Options.Workers = 1;
+  Options.MaxBatch = 1;
+  Batcher Engine(gatedNetwork(Gate), Options, nullptr, nullptr);
+
+  const Tensor First = gatedSample(0.5f);
+  auto Running = std::async(std::launch::async,
+                            [&] { return Engine.predict(First); });
+  Gate->waitEntered(1);
+
+  // The only slot is busy, so these queue behind the gated forward.
+  const Tensor Second = gatedSample(1.0f), Third = gatedSample(2.0f);
+  auto QueuedA = std::async(std::launch::async,
+                            [&] { return Engine.predict(Second); });
+  auto QueuedB = std::async(std::launch::async,
+                            [&] { return Engine.predict(Third); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::atomic<bool> Stopped{false};
+  std::thread Stopper([&] {
+    Engine.stop();
+    Stopped.store(true);
+  });
+  // Queued samples fail at once, while the forward is still running...
+  for (auto *Queued : {&QueuedA, &QueuedB}) {
+    ASSERT_EQ(Queued->wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    Result<Prediction> Out = Queued->get();
+    ASSERT_FALSE(static_cast<bool>(Out));
+    EXPECT_EQ(Out.message(), "model is draining");
+  }
+  // ...but stop() returns only once that forward is done.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(Stopped.load());
+  Gate->open();
+  Stopper.join();
+  EXPECT_TRUE(Stopped.load());
+
+  Result<Prediction> Finished = Running.get();
+  ASSERT_TRUE(static_cast<bool>(Finished)) << Finished.message();
+  ASSERT_EQ(Finished->Logits.size(), 2u);
+  EXPECT_EQ(Finished->Logits.data()[0], 0.5f);
+  EXPECT_EQ(Finished->ArgMax, 0);
+  EXPECT_EQ(Gate->Entered, 1);
+}
+
+TEST(ServeBatcherTest, RequestsQueuedBehindABusySlotShareTheNextBatch) {
+  auto Gate = std::make_shared<ForwardGate>();
+  BatcherOptions Options;
+  Options.Workers = 1;
+  Batcher Engine(gatedNetwork(Gate), Options, nullptr, nullptr);
+
+  const Tensor First = gatedSample(0.0f);
+  auto Leader = std::async(std::launch::async,
+                           [&] { return Engine.predict(First); });
+  Gate->waitEntered(1);
+
+  // No timer: these batch only because the slot is busy while they
+  // arrive.
+  constexpr int Followers = 3;
+  std::vector<Tensor> Samples;
+  for (int I = 0; I < Followers; ++I)
+    Samples.push_back(gatedSample(static_cast<float>(I + 1)));
+  std::vector<std::future<Result<Prediction>>> Queued;
+  for (int I = 0; I < Followers; ++I)
+    Queued.push_back(std::async(std::launch::async, [&, I] {
+      return Engine.predict(Samples[I]);
+    }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Gate->open();
+
+  ASSERT_TRUE(static_cast<bool>(Leader.get()));
+  for (int I = 0; I < Followers; ++I) {
+    Result<Prediction> Out = Queued[I].get();
+    ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
+    EXPECT_EQ(Out->Logits.data()[0], static_cast<float>(I + 1));
+    EXPECT_EQ(Out->BatchSize, Followers);
+  }
+  Engine.stop();
+  EXPECT_EQ(Gate->BatchSizes, (std::vector<int>{1, Followers}));
 }
 
 //===----------------------------------------------------------------------===//
