@@ -5,15 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The machinery every exploration front end shares: the classic
-/// fixed-subspace pipeline (runPruningPipeline) and the strategy driver
-/// (runStrategyExploration) both prepare one trained full model, score
-/// filter importances once, bind the cross-run block cache, and then
-/// build + fine-tune pruned networks one configuration at a time.
-/// ExplorationEngine owns exactly that shared state so the two paths
-/// cannot drift apart; each caller keeps its own orchestration (subspace
-/// sort, tuning-block choice, TaskGraph wiring, cancellation rules) on
-/// top.
+/// The per-run machinery of the exploration driver
+/// (runStrategyExploration, which runPruningPipeline wraps): prepare one
+/// trained full model, score filter importances once, bind the cross-run
+/// block cache, and then build + fine-tune pruned networks one
+/// configuration at a time. The driver keeps the orchestration (tuning-
+/// block choice, TaskGraph wiring, cancellation rules) on top; tools that
+/// time the preparation alone construct an engine directly.
 ///
 /// Determinism contract: prepare() draws from the caller's generator in
 /// a fixed order (full-model preparation only; filter scoring uses its

@@ -2,15 +2,10 @@
 
 #include "src/explore/Pipeline.h"
 
-#include "src/explore/Engine.h"
-#include "src/identifier/Identifier.h"
-#include "src/identifier/TuningBlock.h"
-#include "src/runtime/TaskGraph.h"
+#include "src/explore/strategy/Driver.h"
+#include "src/explore/strategy/FixedSubspace.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <thread>
 
 using namespace wootz;
 
@@ -20,271 +15,20 @@ Result<PipelineResult> wootz::runPruningPipeline(
     const PipelineOptions &Options, Rng &Generator) {
   if (Subspace.empty())
     return Error::failure("the promising subspace is empty");
-  if (Options.Workers < 0)
-    return Error::failure("PipelineOptions::Workers must be non-negative "
-                          "(0 means one per hardware thread), got " +
-                          std::to_string(Options.Workers));
-  const unsigned Workers =
-      Options.Workers == 0
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : static_cast<unsigned>(Options.Workers);
-  const bool Overlap = Options.Schedule == PipelineSchedule::Overlap;
-  // Distillation composes with every schedule: concurrent fine-tunes
-  // share only the teacher's read-only parameters — each one forwards
-  // the teacher through a private ExecContext (see trainClassifier-
-  // Distilled), so there is no shared activation state to race on.
-
-  PipelineResult Run;
-  // Phase 0 — trained full model, filter scores, block-cache binding —
-  // lives in the engine, shared with the strategy driver
-  // (runStrategyExploration).
-  ExplorationEngine Engine(Spec, Data, Meta, Options);
-  RunLog &Log = Engine.log();
-  auto cancelRequested = [&Engine] { return Engine.cancelRequested(); };
-  if (Error E = Engine.prepare(Run, Generator))
-    return E;
-
-  // Exploration order: ascending model size (min-ModelSize objective).
-  std::sort(Subspace.begin(), Subspace.end(),
-            [&](const PruneConfig &A, const PruneConfig &B) {
-              return modelWeightCount(Spec, A) < modelWeightCount(Spec, B);
-            });
-
-  // Phase 1 (composability only): choose tuning blocks. With the
-  // EvalOnly schedule the blocks pre-train right here, serially; with
-  // Overlap they become tasks on the same graph as the evaluations.
-  CheckpointStore &Store = Engine.store();
-  BlockCache &Cache = Engine.blockCache();
-  std::vector<std::vector<int>> CompositeVectors;
-  if (Options.UseComposability) {
-    if (Options.UseIdentifier) {
-      IdentifierResult Identified = identifyTuningBlocks(
-          Spec.moduleCount(), Subspace, subspaceRateAlphabet(Subspace));
-      Run.Blocks = std::move(Identified.Blocks);
-      CompositeVectors = std::move(Identified.CompositeVectors);
-    } else {
-      Run.Blocks = perModuleBlocks(Subspace);
-      CompositeVectors = coverWithBlocks(Subspace, Run.Blocks);
-    }
-    if (!Overlap) {
-      if (cancelRequested())
-        return Error::failure("job cancelled");
-      Result<PretrainStats> Stats = pretrainBlocks(
-          Engine.model(), Engine.teacher(), "full", Run.Blocks, Data, Meta,
-          Store, Generator, &Engine.scores(), &Log, &Cache);
-      if (!Stats)
-        return Stats.takeError();
-      Run.Pretrain = *Stats;
-    }
-  }
-
-  // Overlap prep: partition the blocks exactly like pretrainBlocks would
-  // and derive one generator per group from a single base draw plus the
-  // group's block ids (pretrainGroupSeed) — drawn before the evaluation
-  // seeds and independent of how many groups the block cache satisfied,
-  // so the run is deterministic regardless of which worker trains which
-  // group and a warm or resumed run reproduces the cold run's draws.
-  std::vector<std::vector<TuningBlock>> Groups;
-  std::vector<Rng> GroupRngs;
-  std::map<std::string, size_t> GroupOfBlock;
-  size_t PendingBlockCount = 0;
-  if (Overlap && Options.UseComposability) {
-    const uint64_t BaseSeed = Generator.next();
-    std::vector<TuningBlock> Pending;
-    for (const TuningBlock &Block : Run.Blocks) {
-      if (Block.isIdentity() || Store.contains(Block.id()))
-        continue;
-      if (Cache.enabled() && Cache.fetch(Block.id(), Store))
-        continue;
-      Pending.push_back(Block);
-    }
-    PendingBlockCount = Pending.size();
-    Groups = partitionIntoGroups(std::move(Pending));
-    for (size_t G = 0; G < Groups.size(); ++G) {
-      GroupRngs.emplace_back(pretrainGroupSeed(BaseSeed, Groups[G]));
-      for (const TuningBlock &Block : Groups[G])
-        GroupOfBlock[Block.id()] = G;
-    }
-  }
-
-  // Phase 2: evaluate every configuration in exploration order. Seeds
-  // are drawn up front so serial and parallel runs produce identical
-  // results.
-  const size_t ConfigCount = Subspace.size();
-  std::vector<uint64_t> Seeds(ConfigCount);
-  for (uint64_t &Seed : Seeds)
-    Seed = Generator.next();
-  Run.Evaluations.resize(ConfigCount);
-
-  auto evaluateOne = [&](size_t Index) -> Error {
-    const PruneConfig &Config = Subspace[Index];
-    std::vector<TuningBlock> Composite;
-    if (Options.UseComposability)
-      for (int BlockIndex : CompositeVectors[Index])
-        Composite.push_back(Run.Blocks[BlockIndex]);
-    Result<EvaluatedConfig> Evaluated = Engine.evaluateConfig(
-        Config, Options.UseComposability ? &Composite : nullptr,
-        Seeds[Index]);
-    if (!Evaluated)
-      return Evaluated.takeError();
-    Run.Evaluations[Index] = Evaluated.take();
-    return Error::success();
-  };
-
-  // Exploration position P -> storage index (storage is ascending model
-  // size; a max-Accuracy cancellation objective walks it backwards).
-  const bool SmallestFirst = Options.CancelObjective
-                                 ? Options.CancelObjective
-                                       ->exploreSmallestFirst()
-                                 : true;
-  auto storageIndex = [&](size_t Position) {
-    return SmallestFirst ? Position : ConfigCount - 1 - Position;
-  };
-
-  if (Overlap) {
-    // One graph for everything: each block group is a task, and each
-    // evaluation depends only on the groups its composite vector draws
-    // from — an early (small) configuration fine-tunes while unrelated
-    // blocks still pre-train.
-    TaskGraph Graph(&Log);
-    std::vector<GroupPretrainStats> GroupStats(Groups.size());
-
-    // Which groups each evaluation needs, and per group the earliest
-    // exploration position served (its scheduling urgency).
-    std::vector<std::vector<size_t>> EvalGroups(ConfigCount);
-    std::vector<size_t> GroupMinPos(Groups.size(), ConfigCount);
-    for (size_t P = 0; P < ConfigCount; ++P) {
-      const size_t Index = storageIndex(P);
-      std::set<size_t> Needed;
-      if (Options.UseComposability)
-        for (int BlockIndex : CompositeVectors[Index]) {
-          auto It = GroupOfBlock.find(Run.Blocks[BlockIndex].id());
-          if (It != GroupOfBlock.end())
-            Needed.insert(It->second);
-        }
-      EvalGroups[P].assign(Needed.begin(), Needed.end());
-      for (size_t G : Needed)
-        GroupMinPos[G] = std::min(GroupMinPos[G], P);
-    }
-
-    std::vector<TaskId> GroupTask(Groups.size());
-    for (size_t G = 0; G < Groups.size(); ++G)
-      GroupTask[G] = Graph.add(
-          "pretrain:g" + std::to_string(G), {},
-          -static_cast<int>(GroupMinPos[G]), [&, G]() -> Error {
-            if (cancelRequested())
-              return Error::failure("job cancelled");
-            Result<GroupPretrainStats> Stats = pretrainGroup(
-                Engine.model(), Engine.teacher(), "full", Groups[G], Data,
-                Meta, Store, GroupRngs[G], &Engine.scores(), &Cache);
-            if (!Stats)
-              return Stats.takeError();
-            GroupStats[G] = *Stats;
-            return Error::success();
-          });
-
-    std::vector<TaskId> EvalTask(ConfigCount);
-    for (size_t P = 0; P < ConfigCount; ++P) {
-      const size_t Index = storageIndex(P);
-      std::vector<TaskId> Deps;
-      for (size_t G : EvalGroups[P])
-        Deps.push_back(GroupTask[G]);
-      EvalTask[P] = Graph.add(
-          "eval:" + std::to_string(P), std::move(Deps),
-          -static_cast<int>(P), [&, P, Index]() -> Error {
-            if (Error E = evaluateOne(Index))
-              return E;
-            // The cancellation rule: exploration ascends the objective's
-            // preference order, so once this configuration satisfies the
-            // objective nothing later in the order can beat it — stop
-            // paying for it. Earlier positions stay: they could still
-            // win.
-            if (Options.CancelObjective) {
-              const EvaluatedConfig &Mine = Run.Evaluations[Index];
-              if (Options.CancelObjective->satisfied(Mine.WeightCount,
-                                                     Mine.FinalAccuracy)) {
-                for (size_t Later = P + 1; Later < ConfigCount; ++Later)
-                  Graph.cancel(EvalTask[Later]);
-                for (size_t G = 0; G < Groups.size(); ++G)
-                  if (GroupMinPos[G] > P)
-                    Graph.cancel(GroupTask[G]);
-              }
-            }
-            return Error::success();
-          });
-    }
-
-    if (Error E = Graph.run(Workers))
-      return E;
-
-    for (size_t P = 0; P < ConfigCount; ++P) {
-      if (Graph.state(EvalTask[P]) != TaskState::Cancelled)
-        continue;
-      const size_t Index = storageIndex(P);
-      EvaluatedConfig &E = Run.Evaluations[Index];
-      E.Cancelled = true;
-      E.Config = Subspace[Index];
-      E.WeightCount = modelWeightCount(Spec, Subspace[Index]);
-      E.SizeFraction = static_cast<double>(E.WeightCount) /
-                       static_cast<double>(Run.FullWeightCount);
-    }
-
-    Run.Pretrain.BlockCount = static_cast<int>(PendingBlockCount);
-    Run.Pretrain.GroupCount = static_cast<int>(Groups.size());
-    int TrainedGroups = 0;
-    for (size_t G = 0; G < Groups.size(); ++G) {
-      if (Graph.state(GroupTask[G]) != TaskState::Done)
-        continue;
-      Run.Pretrain.GroupSeconds.push_back(GroupStats[G].Seconds);
-      Run.Pretrain.Seconds += GroupStats[G].Seconds;
-      Run.Pretrain.FirstLoss += GroupStats[G].FirstLoss;
-      Run.Pretrain.LastLoss += GroupStats[G].LastLoss;
-      ++TrainedGroups;
-    }
-    if (TrainedGroups > 0) {
-      Run.Pretrain.FirstLoss /= TrainedGroups;
-      Run.Pretrain.LastLoss /= TrainedGroups;
-    }
-  } else if (Workers > 1) {
-    // Concurrent evaluations may share the teacher graph (distillation):
-    // each fine-tune forwards it through a private ExecContext, so only
-    // its read-only parameters are shared across the workers.
-    TaskGraph Graph(&Log);
-    for (size_t P = 0; P < ConfigCount; ++P) {
-      const size_t Index = storageIndex(P);
-      Graph.add("eval:" + std::to_string(P), {}, -static_cast<int>(P),
-                [&, Index]() { return evaluateOne(Index); });
-    }
-    if (Error E = Graph.run(Workers))
-      return E;
-  } else {
-    std::string FirstError;
-    for (size_t Index = 0; Index < ConfigCount; ++Index) {
-      const double StartAt = Log.now();
-      Error E = evaluateOne(Index);
-      SpanEvent Span;
-      Span.Name = "eval:" + std::to_string(Index);
-      Span.ReadyAt = StartAt;
-      Span.StartAt = StartAt;
-      Span.EndAt = Log.now();
-      Span.Status = E ? "failed" : "done";
-      if (E)
-        Span.Detail = E.message();
-      Log.record(std::move(Span));
-      Log.bump(E ? "tasks_failed" : "tasks_done");
-      if (E && FirstError.empty())
-        FirstError = E.message();
-    }
-    if (!FirstError.empty())
-      return Error::failure(FirstError);
-  }
-
-  for (const EvaluatedConfig &E : Run.Evaluations)
-    Run.EvaluationSeconds += E.TrainSeconds;
-  Run.Telemetry = Log.snapshot();
-  if (!Options.TelemetryPath.empty())
-    if (Error E = Log.writeJsonl(Options.TelemetryPath))
-      return E;
+  // The cancellation objective sets the exploration order; without one
+  // the paper's min-ModelSize order applies.
+  const PruningObjective SmallestFirst = smallestMeetingAccuracy(0.0);
+  const PruningObjective &Order =
+      Options.CancelObjective ? *Options.CancelObjective : SmallestFirst;
+  FixedSubspaceStrategy Strategy(Spec, std::move(Subspace), Order);
+  Result<StrategyRunResult> Explored = runStrategyExploration(
+      Spec, Data, Strategy, Meta, Options, Order, Generator);
+  if (!Explored)
+    return Explored.takeError();
+  // Storage order is ascending model size whatever the exploration order.
+  PipelineResult Run = std::move(Explored->Run);
+  if (!Order.exploreSmallestFirst())
+    std::reverse(Run.Evaluations.begin(), Run.Evaluations.end());
   return Run;
 }
 

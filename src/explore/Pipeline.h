@@ -14,6 +14,12 @@
 /// schedule against an objective to produce Table 3/4/5 rows without
 /// retraining anything.
 ///
+/// runPruningPipeline is the fixed-strategy wrapper of the exploration
+/// driver: it drives FixedSubspaceStrategy through
+/// runStrategyExploration (strategy/Driver.h), which owns block choice,
+/// pre-training, scheduling and cancellation, and returns the
+/// evaluations in ascending-size storage order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef WOOTZ_EXPLORE_PIPELINE_H
@@ -114,7 +120,8 @@ struct PipelineOptions {
   /// Overlap only: when a completed configuration satisfies this
   /// objective, evaluations later in the exploration order (which
   /// cannot beat it) are cancelled. Null disables cancellation. Must
-  /// outlive the run.
+  /// outlive the run. runPruningPipeline also explores in this
+  /// objective's order (ascending size when null).
   const PruningObjective *CancelObjective = nullptr;
   /// When non-empty, the run's telemetry is also written there as JSONL
   /// (one span object per task, then one counters object).
@@ -153,7 +160,12 @@ struct PipelineResult {
   RunTelemetry Telemetry;
 };
 
-/// Runs the pipeline for \p Subspace on \p Data.
+/// Runs the pipeline for \p Subspace on \p Data: FixedSubspaceStrategy
+/// through runStrategyExploration, exploring in Options.CancelObjective's
+/// order (ascending size when null). Per-configuration seeds are drawn
+/// in that exploration order; Evaluations come back in ascending-size
+/// storage order either way. Fails on an empty subspace before any
+/// training.
 Result<PipelineResult> runPruningPipeline(const ModelSpec &Spec,
                                           const Dataset &Data,
                                           std::vector<PruneConfig> Subspace,

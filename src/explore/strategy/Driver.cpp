@@ -40,11 +40,12 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
           ? std::max(1u, std::thread::hardware_concurrency())
           : static_cast<unsigned>(Options.Workers);
   const bool Overlap = Options.Schedule == PipelineSchedule::Overlap;
-  // Within-round cancellation needs a preference order over the round:
-  // only a strategy that emits best-first rounds allows discarding the
-  // tail once an earlier proposal satisfies the objective.
-  const bool CancelWithinRound = Overlap && Options.CancelObjective &&
-                                 Strategy.proposalsPreferenceOrdered();
+  // Only a strategy that emits best-first rounds lets the driver discard
+  // a round's tail once an earlier proposal satisfies the objective, and
+  // only then does that proposal outrank the rest of its round.
+  const bool Ordered = Strategy.proposalsPreferenceOrdered();
+  const bool CancelWithinRound =
+      Overlap && Options.CancelObjective && Ordered;
 
   StrategyRunResult Out;
   PipelineResult &Run = Out.Run;
@@ -58,8 +59,18 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
   std::set<std::string> SeenBlockIds;
   size_t EvalCounter = 0;  ///< Global eval-span numbering across rounds.
   size_t GroupCounter = 0; ///< Global pretrain-span numbering.
-  double FirstLossSum = 0.0, LastLossSum = 0.0;
+  // Pre-training losses average over every group the run trained. Rounds
+  // merge as a running weighted mean, so a single round reports its own
+  // mean bit for bit.
   int LossGroups = 0;
+  auto mergeLosses = [&](double FirstMean, double LastMean, int Groups) {
+    if (Groups == 0)
+      return;
+    LossGroups += Groups;
+    const double Weight = static_cast<double>(Groups) / LossGroups;
+    Run.Pretrain.FirstLoss += (FirstMean - Run.Pretrain.FirstLoss) * Weight;
+    Run.Pretrain.LastLoss += (LastMean - Run.Pretrain.LastLoss) * Weight;
+  };
 
   // A pure strategy over a finite rate lattice terminates, but a buggy
   // one must not hang the serve worker: cap the rounds far above any
@@ -117,7 +128,6 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
     std::vector<std::vector<TuningBlock>> Groups;
     std::vector<Rng> GroupRngs;
     std::map<std::string, size_t> GroupOfBlock;
-    size_t PendingBlockCount = 0;
     if (Options.UseComposability && !Overlap) {
       if (Engine.cancelRequested())
         return Error::failure("job cancelled");
@@ -133,9 +143,7 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
       Run.Pretrain.GroupSeconds.insert(Run.Pretrain.GroupSeconds.end(),
                                        Stats->GroupSeconds.begin(),
                                        Stats->GroupSeconds.end());
-      FirstLossSum += Stats->FirstLoss * Stats->GroupCount;
-      LastLossSum += Stats->LastLoss * Stats->GroupCount;
-      LossGroups += Stats->GroupCount;
+      mergeLosses(Stats->FirstLoss, Stats->LastLoss, Stats->GroupCount);
     } else if (Options.UseComposability) {
       // Overlap: the same partition pretrainBlocks would use, seeded
       // from one base draw plus the group's block ids — independent of
@@ -150,8 +158,9 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
           continue;
         Pending.push_back(Block);
       }
-      PendingBlockCount = Pending.size();
+      Run.Pretrain.BlockCount += static_cast<int>(Pending.size());
       Groups = partitionIntoGroups(std::move(Pending));
+      Run.Pretrain.GroupCount += static_cast<int>(Groups.size());
       for (size_t G = 0; G < Groups.size(); ++G) {
         GroupRngs.emplace_back(pretrainGroupSeed(BaseSeed, Groups[G]));
         for (const TuningBlock &Block : Groups[G])
@@ -166,135 +175,109 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
     const size_t Base = Run.Evaluations.size();
     Run.Evaluations.resize(Base + Count);
 
-    auto evaluateOne = [&](size_t P) -> Error {
-      std::vector<TuningBlock> Composite;
-      if (Options.UseComposability)
-        for (int BlockIndex : CompositeVectors[P])
-          Composite.push_back(RoundBlocks[BlockIndex]);
-      Result<EvaluatedConfig> Evaluated = Engine.evaluateConfig(
-          Proposals[P], Options.UseComposability ? &Composite : nullptr,
-          Seeds[P]);
-      if (!Evaluated)
-        return Evaluated.takeError();
-      Run.Evaluations[Base + P] = Evaluated.take();
-      return Error::success();
-    };
+    // One graph per round. Under EvalOnly the blocks are already trained,
+    // so it holds only the evaluations and nothing is cancelled; under
+    // Overlap each block group is a task too, and each evaluation waits
+    // only for the groups its composite vector draws from — an early
+    // (small) configuration fine-tunes while unrelated blocks still
+    // pre-train. Concurrent evaluations share only the teacher's
+    // read-only parameters (distillation forwards it through a private
+    // ExecContext).
+    TaskGraph Graph(&Log);
+    std::vector<GroupPretrainStats> GroupStats(Groups.size());
 
-    std::vector<bool> WasCancelled(Count, false);
-    if (Overlap) {
-      TaskGraph Graph(&Log);
-      std::vector<GroupPretrainStats> GroupStats(Groups.size());
-
-      std::vector<std::vector<size_t>> EvalGroups(Count);
-      std::vector<size_t> GroupMinPos(Groups.size(), Count);
-      for (size_t P = 0; P < Count; ++P) {
-        std::set<size_t> NeededGroups;
-        if (Options.UseComposability)
-          for (int BlockIndex : CompositeVectors[P]) {
-            auto It = GroupOfBlock.find(RoundBlocks[BlockIndex].id());
-            if (It != GroupOfBlock.end())
-              NeededGroups.insert(It->second);
-          }
-        EvalGroups[P].assign(NeededGroups.begin(), NeededGroups.end());
-        for (size_t G : NeededGroups)
-          GroupMinPos[G] = std::min(GroupMinPos[G], P);
+    // Which groups each evaluation needs, and per group the earliest
+    // round position served (its scheduling urgency).
+    std::vector<std::vector<size_t>> EvalGroups(Count);
+    std::vector<size_t> GroupMinPos(Groups.size(), Count);
+    for (size_t P = 0; P < Count && !Groups.empty(); ++P) {
+      std::set<size_t> NeededGroups;
+      for (int BlockIndex : CompositeVectors[P]) {
+        auto It = GroupOfBlock.find(RoundBlocks[BlockIndex].id());
+        if (It != GroupOfBlock.end())
+          NeededGroups.insert(It->second);
       }
-
-      std::vector<TaskId> GroupTask(Groups.size());
-      for (size_t G = 0; G < Groups.size(); ++G)
-        GroupTask[G] = Graph.add(
-            "pretrain:g" + std::to_string(GroupCounter + G), {},
-            -static_cast<int>(GroupMinPos[G]), [&, G]() -> Error {
-              if (Engine.cancelRequested())
-                return Error::failure("job cancelled");
-              Result<GroupPretrainStats> Stats = pretrainGroup(
-                  Engine.model(), Engine.teacher(), "full", Groups[G],
-                  Data, Meta, Store, GroupRngs[G], &Engine.scores(),
-                  &Cache);
-              if (!Stats)
-                return Stats.takeError();
-              GroupStats[G] = *Stats;
-              return Error::success();
-            });
-
-      std::vector<TaskId> EvalTask(Count);
-      for (size_t P = 0; P < Count; ++P) {
-        std::vector<TaskId> Deps;
-        for (size_t G : EvalGroups[P])
-          Deps.push_back(GroupTask[G]);
-        EvalTask[P] = Graph.add(
-            "eval:" + std::to_string(EvalCounter + P), std::move(Deps),
-            -static_cast<int>(P), [&, P]() -> Error {
-              if (Error E = evaluateOne(P))
-                return E;
-              // Preference-ordered rounds: once this proposal satisfies
-              // the objective, nothing later in the round can beat it.
-              if (CancelWithinRound) {
-                const EvaluatedConfig &Mine = Run.Evaluations[Base + P];
-                if (Options.CancelObjective->satisfied(
-                        Mine.WeightCount, Mine.FinalAccuracy)) {
-                  for (size_t Later = P + 1; Later < Count; ++Later)
-                    Graph.cancel(EvalTask[Later]);
-                  for (size_t G = 0; G < Groups.size(); ++G)
-                    if (GroupMinPos[G] > P)
-                      Graph.cancel(GroupTask[G]);
-                }
-              }
-              return Error::success();
-            });
-      }
-
-      if (Error E = Graph.run(Workers))
-        return E;
-
-      for (size_t P = 0; P < Count; ++P)
-        WasCancelled[P] = Graph.state(EvalTask[P]) == TaskState::Cancelled;
-
-      Run.Pretrain.BlockCount += static_cast<int>(PendingBlockCount);
-      Run.Pretrain.GroupCount += static_cast<int>(Groups.size());
-      for (size_t G = 0; G < Groups.size(); ++G) {
-        if (Graph.state(GroupTask[G]) != TaskState::Done)
-          continue;
-        Info.BlocksTrained += static_cast<int>(Groups[G].size());
-        Run.Pretrain.GroupSeconds.push_back(GroupStats[G].Seconds);
-        Run.Pretrain.Seconds += GroupStats[G].Seconds;
-        FirstLossSum += GroupStats[G].FirstLoss;
-        LastLossSum += GroupStats[G].LastLoss;
-        ++LossGroups;
-      }
-    } else if (Workers > 1) {
-      TaskGraph Graph(&Log);
-      for (size_t P = 0; P < Count; ++P)
-        Graph.add("eval:" + std::to_string(EvalCounter + P), {},
-                  -static_cast<int>(P), [&, P]() { return evaluateOne(P); });
-      if (Error E = Graph.run(Workers))
-        return E;
-    } else {
-      std::string FirstError;
-      for (size_t P = 0; P < Count; ++P) {
-        const double StartAt = Log.now();
-        Error E = evaluateOne(P);
-        SpanEvent Span;
-        Span.Name = "eval:" + std::to_string(EvalCounter + P);
-        Span.ReadyAt = StartAt;
-        Span.StartAt = StartAt;
-        Span.EndAt = Log.now();
-        Span.Status = E ? "failed" : "done";
-        if (E)
-          Span.Detail = E.message();
-        Log.record(std::move(Span));
-        Log.bump(E ? "tasks_failed" : "tasks_done");
-        if (E && FirstError.empty())
-          FirstError = E.message();
-      }
-      if (!FirstError.empty())
-        return Error::failure(FirstError);
+      EvalGroups[P].assign(NeededGroups.begin(), NeededGroups.end());
+      for (size_t G : NeededGroups)
+        GroupMinPos[G] = std::min(GroupMinPos[G], P);
     }
+
+    std::vector<TaskId> GroupTask(Groups.size());
+    for (size_t G = 0; G < Groups.size(); ++G)
+      GroupTask[G] = Graph.add(
+          "pretrain:g" + std::to_string(GroupCounter + G), {},
+          -static_cast<int>(GroupMinPos[G]), [&, G]() -> Error {
+            if (Engine.cancelRequested())
+              return Error::failure("job cancelled");
+            Result<GroupPretrainStats> Stats = pretrainGroup(
+                Engine.model(), Engine.teacher(), "full", Groups[G], Data,
+                Meta, Store, GroupRngs[G], &Engine.scores(), &Cache);
+            if (!Stats)
+              return Stats.takeError();
+            GroupStats[G] = *Stats;
+            return Error::success();
+          });
+
+    std::vector<TaskId> EvalTask(Count);
+    for (size_t P = 0; P < Count; ++P) {
+      std::vector<TaskId> Deps;
+      for (size_t G : EvalGroups[P])
+        Deps.push_back(GroupTask[G]);
+      EvalTask[P] = Graph.add(
+          "eval:" + std::to_string(EvalCounter + P), std::move(Deps),
+          -static_cast<int>(P), [&, P]() -> Error {
+            std::vector<TuningBlock> Composite;
+            if (Options.UseComposability)
+              for (int BlockIndex : CompositeVectors[P])
+                Composite.push_back(RoundBlocks[BlockIndex]);
+            Result<EvaluatedConfig> Evaluated = Engine.evaluateConfig(
+                Proposals[P], Options.UseComposability ? &Composite : nullptr,
+                Seeds[P]);
+            if (!Evaluated)
+              return Evaluated.takeError();
+            Run.Evaluations[Base + P] = Evaluated.take();
+            const EvaluatedConfig &Mine = Run.Evaluations[Base + P];
+            // Preference-ordered rounds: once this proposal satisfies
+            // the objective, nothing later in the round can beat it —
+            // stop paying for it. Earlier proposals stay: they could
+            // still win.
+            if (CancelWithinRound &&
+                Options.CancelObjective->satisfied(Mine.WeightCount,
+                                                   Mine.FinalAccuracy)) {
+              for (size_t Later = P + 1; Later < Count; ++Later)
+                Graph.cancel(EvalTask[Later]);
+              for (size_t G = 0; G < Groups.size(); ++G)
+                if (GroupMinPos[G] > P)
+                  Graph.cancel(GroupTask[G]);
+            }
+            return Error::success();
+          });
+    }
+
+    // Workers == 1 runs inline on the calling thread.
+    if (Error E = Graph.run(Workers > 1 ? Workers : 0))
+      return E;
+
+    double FirstLoss = 0.0, LastLoss = 0.0;
+    int TrainedGroups = 0;
+    for (size_t G = 0; G < Groups.size(); ++G) {
+      if (Graph.state(GroupTask[G]) != TaskState::Done)
+        continue;
+      Info.BlocksTrained += static_cast<int>(Groups[G].size());
+      Run.Pretrain.GroupSeconds.push_back(GroupStats[G].Seconds);
+      Run.Pretrain.Seconds += GroupStats[G].Seconds;
+      FirstLoss += GroupStats[G].FirstLoss;
+      LastLoss += GroupStats[G].LastLoss;
+      ++TrainedGroups;
+    }
+    if (TrainedGroups > 0)
+      mergeLosses(FirstLoss / TrainedGroups, LastLoss / TrainedGroups,
+                  TrainedGroups);
 
     // Cancelled proposals still appear in the observed sequence (the
     // strategy skips them), with the size fields the config determines.
     for (size_t P = 0; P < Count; ++P) {
-      if (!WasCancelled[P])
+      if (Graph.state(EvalTask[P]) != TaskState::Cancelled)
         continue;
       EvaluatedConfig &E = Run.Evaluations[Base + P];
       E.Cancelled = true;
@@ -315,22 +298,25 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
     GroupCounter += Groups.size();
   }
 
-  if (LossGroups > 0) {
-    Run.Pretrain.FirstLoss = FirstLossSum / LossGroups;
-    Run.Pretrain.LastLoss = LastLossSum / LossGroups;
-  }
-
   // The winner: best objective-satisfying evaluation in the objective's
-  // own preference; earliest proposal on ties.
-  for (size_t I = 0; I < Run.Evaluations.size(); ++I) {
-    const EvaluatedConfig &E = Run.Evaluations[I];
-    if (E.Cancelled || !Objective.satisfied(E.WeightCount, E.FinalAccuracy))
-      continue;
-    Out.ObjectiveMet = true;
-    if (Out.WinnerIndex < 0 ||
-        preferredOver(E, Run.Evaluations[Out.WinnerIndex], Objective))
-      Out.WinnerIndex = static_cast<int>(I);
-  }
+  // own preference; earliest proposal on ties. A preference-ordered round
+  // offers only its first satisfying proposal — the strategy ranked the
+  // round, so a later proposal (which may or may not have escaped
+  // cancellation, depending on timing) must not outrank it.
+  for (const StrategyRoundInfo &Round : Out.RoundsInfo)
+    for (size_t I = Round.FirstIndex;
+         I < Round.FirstIndex + static_cast<size_t>(Round.Proposals); ++I) {
+      const EvaluatedConfig &E = Run.Evaluations[I];
+      if (E.Cancelled ||
+          !Objective.satisfied(E.WeightCount, E.FinalAccuracy))
+        continue;
+      Out.ObjectiveMet = true;
+      if (Out.WinnerIndex < 0 ||
+          preferredOver(E, Run.Evaluations[Out.WinnerIndex], Objective))
+        Out.WinnerIndex = static_cast<int>(I);
+      if (Ordered)
+        break;
+    }
 
   for (const EvaluatedConfig &E : Run.Evaluations)
     Run.EvaluationSeconds += E.TrainSeconds;

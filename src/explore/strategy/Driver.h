@@ -12,14 +12,21 @@
 /// cross-run BlockCache is reused), evaluates the proposals on the
 /// runtime TaskGraph under the configured schedule, and feeds the
 /// results back for the next round — the proposal loop the paper leaves
-/// as future work, running on the same machinery as the fixed-subspace
-/// pipeline.
+/// as future work. It is the only exploration loop: the paper's own
+/// fixed-subspace sweep (runPruningPipeline) is FixedSubspaceStrategy
+/// driven through it.
 ///
-/// Determinism mirrors runPruningPipeline: the engine's preparation
-/// draws first, then per round one pretrainBlocks draw (EvalOnly) or one
-/// base seed expanded per group via pretrainGroupSeed (Overlap), then
-/// one pre-drawn seed per proposal in proposal order. Since strategies
-/// are pure functions of the observed results, a rerun from the same
+/// Each round runs on one TaskGraph. Under EvalOnly the round's blocks
+/// are pre-trained first (serially, pretrainBlocks) and the graph holds
+/// only the evaluations; under Overlap each block group is a task and
+/// each evaluation depends on the groups its composite vector uses.
+/// Workers == 1 runs the graph inline on the calling thread.
+///
+/// Determinism: the engine's preparation draws first, then per round one
+/// base seed expanded per group via pretrainGroupSeed (drawn by
+/// pretrainBlocks under EvalOnly, by the driver under Overlap), then one
+/// pre-drawn seed per proposal in proposal order. Since strategies are
+/// pure functions of the observed results, a rerun from the same
 /// generator seed reproduces every proposal and every evaluation
 /// bit-exactly — for any Workers value under EvalOnly, and regardless of
 /// how many blocks a warm BlockCache satisfied.
@@ -59,7 +66,8 @@ struct StrategyRoundInfo {
 struct StrategyRunResult {
   /// Shared result shape with runPruningPipeline — except Evaluations
   /// are in *proposal order* (cancelled entries flagged), not sorted by
-  /// size, and Blocks accumulates every distinct block any round chose.
+  /// ascending size, and Blocks accumulates every distinct block any
+  /// round chose.
   PipelineResult Run;
   int Rounds = 0;
   int Proposals = 0;
@@ -67,14 +75,18 @@ struct StrategyRunResult {
   std::vector<StrategyRoundInfo> RoundsInfo;
   /// Proposal index of the best evaluation satisfying the objective
   /// (smallest WeightCount for min-ModelSize, highest accuracy for
-  /// max-Accuracy; ties to the earliest proposal), -1 when none did.
+  /// max-Accuracy; ties to the earliest proposal), -1 when none did. A
+  /// preference-ordered round (proposalsPreferenceOrdered()) contributes
+  /// only its first satisfying, non-cancelled proposal — for the fixed
+  /// strategy that is the paper's first-satisfying-in-exploration-order
+  /// rule, the same winner summarizeMeasuredRun() reports.
   int WinnerIndex = -1;
   bool ObjectiveMet = false;
 };
 
-/// Runs \p Strategy to completion on \p Data. \p Options is interpreted
-/// exactly as by runPruningPipeline (schedule, workers, composability,
-/// caches, telemetry, cancellation token); \p Objective picks the winner
+/// Runs \p Strategy to completion on \p Data. \p Options carries the
+/// schedule, workers, composability, caches, telemetry and cancellation
+/// token (see PipelineOptions); \p Objective picks the winner
 /// and is what adaptive strategies steer toward — pass the same
 /// objective as Options.CancelObjective to also cancel within rounds.
 Result<StrategyRunResult> runStrategyExploration(

@@ -10,8 +10,9 @@ FixedSubspaceStrategy::FixedSubspaceStrategy(
     const ModelSpec &Spec, std::vector<PruneConfig> Subspace,
     const PruningObjective &Objective)
     : Ordered(std::move(Subspace)) {
-  // The identical sort call runPruningPipeline makes, so ties land in the
-  // same order and the bit-exactness guarantee holds.
+  // Ascending size; a largest-first objective reverses the same order,
+  // so reversing it back restores ties exactly (runPruningPipeline's
+  // storage order).
   std::sort(Ordered.begin(), Ordered.end(),
             [&](const PruneConfig &A, const PruneConfig &B) {
               return modelWeightCount(Spec, A) < modelWeightCount(Spec, B);

@@ -43,6 +43,7 @@
 #include "src/support/Error.h"
 #include "src/train/BlockCache.h"
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -135,7 +136,9 @@ private:
 
   ArtifactStoreOptions Options;
   RunLog *Log = nullptr;
-  bool Registered = false;
+  /// Set by heartbeat(), which runs on the server's thread at startup
+  /// and on the executor's maintenance thread afterwards.
+  std::atomic<bool> Registered{false};
 };
 
 } // namespace serve

@@ -7,12 +7,13 @@
 /// \file
 /// The execution half of the serve job path: worker threads that claim
 /// jobs from a JobQueue, re-parse the submission body into a JobSpec,
-/// and run runPruningPipeline / runStrategyExploration with a per-job
-/// RunLog (live counters for GET /v1/jobs/<id>) and CancelToken. The
-/// executor also owns the durable-mode maintenance thread: it polls the
-/// queue for foreign journals, heartbeats claim leases and the artifact
-/// store's process registration, and propagates cancel markers written
-/// by peer processes into local cancel tokens.
+/// and run the job's strategy (fixed included) through
+/// runStrategyExploration with a per-job RunLog (live counters for GET
+/// /v1/jobs/<id>) and CancelToken. The executor also owns the
+/// durable-mode maintenance thread: it polls the queue for foreign
+/// journals, heartbeats claim leases and the artifact store's process
+/// registration, and propagates cancel markers written by peer processes
+/// into local cancel tokens.
 ///
 /// Splitting parse (parseJobSpec) out of JobManager::submit is what
 /// makes a job executable on a process that never saw its submission:

@@ -506,6 +506,11 @@ TEST(JobRecoveryTest, ReclaimedJobRerunsWarmAndMatchesTheColdResult) {
   Shared.CacheDir = Scratch.str() + "/cache";
   Shared.ArtifactDir = Scratch.str() + "/artifacts";
   Shared.PollSeconds = 0.05;
+  // EvalOnly: every configuration is evaluated whatever the timing, so
+  // configs_evaluated is comparable. Overlap's first-satisfying
+  // cancellation makes that count depend on the two workers' timing.
+  std::map<std::string, std::string> Body = tinyJobBody();
+  Body["schedule"] = "evalonly";
 
   // Cold run: executes normally, populating the shared block cache.
   std::string ColdId, ColdStatus;
@@ -514,7 +519,7 @@ TEST(JobRecoveryTest, ReclaimedJobRerunsWarmAndMatchesTheColdResult) {
     Options.Owner = "proc-cold";
     RunLog Log;
     JobManager Cold(Options, nullptr, &Log);
-    const SubmitOutcome Submitted = Cold.submit(tinyJobBody());
+    const SubmitOutcome Submitted = Cold.submit(Body);
     ASSERT_EQ(Submitted.Status, 202) << Submitted.Error;
     ColdId = Submitted.Id;
     ASSERT_EQ(waitForTerminal(Cold, ColdId), "done");
@@ -532,7 +537,7 @@ TEST(JobRecoveryTest, ReclaimedJobRerunsWarmAndMatchesTheColdResult) {
   {
     JobQueue Dead(queueOptions(Shared.QueueDir, "dead-proc", 0.05));
     Result<std::string> Submitted =
-        Dead.submit(tinyJobBody(), "resnet_a", "fixed", "l1", 2);
+        Dead.submit(Body, "resnet_a", "fixed", "l1", 2);
     ASSERT_TRUE(static_cast<bool>(Submitted));
     CrashedId = *Submitted;
     ASSERT_TRUE(Dead.claim().has_value());

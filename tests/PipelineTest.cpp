@@ -320,6 +320,54 @@ TEST_F(RuntimePipelineFixture, OverlapWarmBlockCacheSkipsAllPretraining) {
   std::filesystem::remove_all(CacheDir);
 }
 
+TEST_F(RuntimePipelineFixture,
+       LargestFirstRunIsDeterministicAndWarmEqualsCold) {
+  // A max-Accuracy order explores largest first and draws the
+  // per-configuration seeds in that order. The evaluations still come
+  // back in ascending-size storage order, identical for every Workers
+  // value, and a warm block-cache run reproduces the cold one.
+  const std::string CacheDir =
+      ::testing::TempDir() + "wootz_pipeline_block_cache_largest_first";
+  std::filesystem::remove_all(CacheDir);
+
+  PruningObjective MostAccurate;
+  MostAccurate.Minimize = false;
+  MostAccurate.Optimize = Metric::Accuracy;
+  PipelineOptions Options;
+  Options.UseComposability = true;
+  Options.CancelObjective = &MostAccurate;
+  Options.BlockCacheConfig.Directory = CacheDir;
+
+  std::vector<PipelineResult> Runs;
+  for (int Workers : {1, 3}) {
+    Options.Workers = Workers;
+    Rng Generator(11);
+    Result<PipelineResult> Run =
+        runPruningPipeline(Spec, Data, Subspace, Meta, Options, Generator);
+    ASSERT_TRUE(static_cast<bool>(Run)) << Run.message();
+    Runs.push_back(Run.take());
+  }
+  const PipelineResult &Cold = Runs[0];
+  const PipelineResult &Warm = Runs[1];
+  EXPECT_GT(Cold.Pretrain.BlockCount, 0);
+  EXPECT_EQ(Warm.Pretrain.BlockCount, 0);
+
+  ASSERT_EQ(Warm.Evaluations.size(), Cold.Evaluations.size());
+  for (size_t I = 0; I < Cold.Evaluations.size(); ++I) {
+    if (I > 0) {
+      EXPECT_LE(Cold.Evaluations[I - 1].WeightCount,
+                Cold.Evaluations[I].WeightCount);
+    }
+    EXPECT_EQ(Warm.Evaluations[I].Config, Cold.Evaluations[I].Config);
+    EXPECT_EQ(Warm.Evaluations[I].InitAccuracy,
+              Cold.Evaluations[I].InitAccuracy);
+    EXPECT_EQ(Warm.Evaluations[I].FinalAccuracy,
+              Cold.Evaluations[I].FinalAccuracy);
+  }
+
+  std::filesystem::remove_all(CacheDir);
+}
+
 TEST_F(RuntimePipelineFixture, PreCancelledTokenStopsBeforeAnyWork) {
   PipelineOptions Options;
   CancelToken Token;

@@ -1,8 +1,9 @@
 //===- tests/StrategyTest.cpp - exploration-strategy tests ------------------===//
 //
 // Covers the explore/strategy/ subsystem: name parsing (unknown names
-// list the valid ones), the behavior-preservation guarantee (driving
-// FixedSubspaceStrategy reproduces runPruningPipeline bit-exactly), the
+// list the valid ones), the fixed-strategy wrapper's contract
+// (runPruningPipeline stores the driver's evaluations in ascending-size
+// order; the driver's winner is the first satisfying proposal), the
 // determinism contract (replaying any strategy against the recorded
 // observation sequence proposes identical configurations; EvalOnly runs
 // are bit-identical for any Workers value), the adaptive explorer under
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -197,36 +199,88 @@ void expectIdenticalEvaluations(const std::vector<EvaluatedConfig> &A,
   }
 }
 
-TEST_F(StrategyDriverFixture, FixedDriverMatchesClassicPipeline) {
-  const PipelineOptions Options = evalOnlyOptions();
+/// Every candidate satisfies it; the winner is the most accurate one in
+/// the fixed strategy's largest-first order.
+PruningObjective mostAccurateAnySize() {
+  PruningObjective MostAccurate;
+  MostAccurate.Minimize = false;
+  MostAccurate.Optimize = Metric::Accuracy;
+  return MostAccurate;
+}
 
-  Rng ClassicGen(17);
+TEST_F(StrategyDriverFixture, FixedDriverMatchesClassicPipeline) {
+  // runPruningPipeline is the fixed strategy through the driver; its own
+  // contract is the storage order: ascending size for every objective,
+  // i.e. the driver's proposal order, reversed when the objective
+  // explores largest first.
+  const PruningObjective MostAccurate = mostAccurateAnySize();
+  for (const PruningObjective *Order :
+       std::vector<const PruningObjective *>{&Objective, &MostAccurate}) {
+    SCOPED_TRACE(printObjective(*Order));
+    PipelineOptions Options = evalOnlyOptions();
+    Options.CancelObjective = Order; // Sets the order; EvalOnly never cancels.
+
+    Rng ClassicGen(17);
+    Result<PipelineResult> Classic = runPruningPipeline(
+        Spec, Data, Subspace, Meta, Options, ClassicGen);
+    ASSERT_TRUE(static_cast<bool>(Classic)) << Classic.message();
+    for (size_t I = 1; I < Classic->Evaluations.size(); ++I)
+      EXPECT_LE(Classic->Evaluations[I - 1].WeightCount,
+                Classic->Evaluations[I].WeightCount)
+          << "storage index " << I;
+
+    FixedSubspaceStrategy Strategy(Spec, Subspace, *Order);
+    Rng DriverGen(17);
+    Result<StrategyRunResult> Driven = runStrategyExploration(
+        Spec, Data, Strategy, Meta, Options, *Order, DriverGen);
+    ASSERT_TRUE(static_cast<bool>(Driven)) << Driven.message();
+    EXPECT_EQ(Driven->Rounds, 1);
+    EXPECT_EQ(static_cast<size_t>(Driven->Proposals), Subspace.size());
+    EXPECT_EQ(Driven->Run.Telemetry.counter("strategy.rounds"), 1);
+    EXPECT_EQ(static_cast<size_t>(
+                  Driven->Run.Telemetry.counter("strategy.proposals")),
+              Subspace.size());
+
+    std::vector<EvaluatedConfig> Explored = Driven->Run.Evaluations;
+    if (!Order->exploreSmallestFirst())
+      std::reverse(Explored.begin(), Explored.end());
+    EXPECT_EQ(Driven->Run.FullAccuracy, Classic->FullAccuracy);
+    EXPECT_EQ(Driven->Run.FullWeightCount, Classic->FullWeightCount);
+    expectIdenticalEvaluations(Classic->Evaluations, Explored);
+  }
+}
+
+TEST_F(StrategyDriverFixture, FixedDriverWinnerIsFirstSatisfyingProposal) {
+  // max-Accuracy explores largest first and stops at the first
+  // configuration that satisfies the objective (§6.2). With no
+  // constraint that is the largest configuration, even when a later
+  // (smaller) one happens to fine-tune to a higher accuracy.
+  const PruningObjective MostAccurate = mostAccurateAnySize();
+  PipelineOptions Options = evalOnlyOptions(/*Workers=*/2);
+  Options.CancelObjective = &MostAccurate;
+
+  Rng ClassicGen(4);
   Result<PipelineResult> Classic = runPruningPipeline(
       Spec, Data, Subspace, Meta, Options, ClassicGen);
   ASSERT_TRUE(static_cast<bool>(Classic)) << Classic.message();
+  const ExplorationSummary Summary =
+      summarizeMeasuredRun(*Classic, MostAccurate);
+  ASSERT_EQ(Summary.WinnerIndex, 0);
 
-  FixedSubspaceStrategy Strategy(Spec, Subspace, Objective);
-  Rng DriverGen(17);
+  FixedSubspaceStrategy Strategy(Spec, Subspace, MostAccurate);
+  Rng DriverGen(4);
   Result<StrategyRunResult> Driven = runStrategyExploration(
-      Spec, Data, Strategy, Meta, Options, Objective, DriverGen);
+      Spec, Data, Strategy, Meta, Options, MostAccurate, DriverGen);
   ASSERT_TRUE(static_cast<bool>(Driven)) << Driven.message();
 
-  // min-ModelSize explores ascending size — exactly the pipeline's
-  // storage order — so the two runs align index by index, bit by bit.
-  EXPECT_EQ(Driven->Run.FullAccuracy, Classic->FullAccuracy);
-  EXPECT_EQ(Driven->Run.FullWeightCount, Classic->FullWeightCount);
-  expectIdenticalEvaluations(Driven->Run.Evaluations, Classic->Evaluations);
-  EXPECT_EQ(Driven->Rounds, 1);
-  EXPECT_EQ(static_cast<size_t>(Driven->Proposals), Subspace.size());
-  EXPECT_EQ(Driven->Run.Telemetry.counter("strategy.rounds"), 1);
-  EXPECT_EQ(static_cast<size_t>(
-                Driven->Run.Telemetry.counter("strategy.proposals")),
-            Subspace.size());
+  // The case this test exists for: some later proposal beats the first.
+  const std::vector<EvaluatedConfig> &Explored = Driven->Run.Evaluations;
+  double BestLater = 0.0;
+  for (size_t I = 1; I < Explored.size(); ++I)
+    BestLater = std::max(BestLater, Explored[I].FinalAccuracy);
+  ASSERT_GT(BestLater, Explored[0].FinalAccuracy);
 
-  // Both pick the same winner (the driver reports proposal order, which
-  // here IS the exploration order).
-  const ExplorationSummary Summary =
-      summarizeMeasuredRun(*Classic, Objective);
+  EXPECT_TRUE(Driven->ObjectiveMet);
   EXPECT_EQ(Driven->WinnerIndex, Summary.WinnerIndex);
 }
 
