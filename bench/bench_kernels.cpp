@@ -2,12 +2,16 @@
 //
 // Tracks the performance of the compute substrate everything else sits
 // on: blocked vs reference GEMM GFLOP/s across sizes (single- and
-// multi-threaded) and batch-parallel Conv2D forward/backward scaling
-// over kernel worker counts. Every row also lands in BENCH_kernels.json
-// so the perf trajectory is machine-readable from this PR onward.
+// multi-threaded), batch-parallel Conv2D forward/backward scaling over
+// kernel worker counts, and one mini-resnet-a training step broken down
+// by layer kind and by kernel phase (im2col, col2im, GEMM engines). Every
+// row also lands in BENCH_kernels.json so the perf trajectory is
+// machine-readable.
 //
 //===----------------------------------------------------------------------===//
 
+#include "src/compiler/GraphBuilder.h"
+#include "src/models/MiniModels.h"
 #include "src/nn/Layers.h"
 #include "src/support/File.h"
 #include "src/support/Json.h"
@@ -21,6 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -54,6 +59,230 @@ void fillRandom(float *Data, size_t Count, Rng &Generator) {
 
 double gflops(double Flops, double Seconds) {
   return Seconds > 0.0 ? Flops / Seconds / 1e9 : 0.0;
+}
+
+/// Adds the seconds \p Body takes to \p Total.
+void timeInto(double &Total, const std::function<void()> &Body) {
+  Stopwatch Timer;
+  Body();
+  Total += Timer.seconds();
+}
+
+/// One mini-resnet-a training step at batch 8, broken down. The graph
+/// runs one real step to record every node's activations and output
+/// gradient; each layer then replays its forward and backward on those
+/// tensors (with private outputs and scratch), timed call by call, and
+/// each Conv2D's kernel phases are timed on its own shapes. Reports
+/// milliseconds per step against the measured whole step.
+void trainingStepSection(const std::function<void(const JsonObject &)> &Push,
+                         Rng &Generator) {
+  const int Batch = 8;
+  const int Steps = 200;
+  setKernelWorkers(1);
+  Result<ModelSpec> Spec = makeStandardModel(StandardModel::ResNetA, 4);
+  if (!Spec) {
+    std::printf("training step: %s\n", Spec.message().c_str());
+    return;
+  }
+  Result<BuiltNetwork> Built = buildFullNetwork(*Spec, 0x5eed);
+  if (!Built) {
+    std::printf("training step: %s\n", Built.message().c_str());
+    return;
+  }
+  Graph &Net = Built->Network;
+  Tensor Images(Shape{Batch, 3, 8, 8});
+  fillRandom(Images.data(), Images.size(), Generator);
+  Net.setInput(Built->InputNode, Images);
+  Tensor LogitsGrad;
+  auto Step = [&] {
+    Net.forward(/*Training=*/true);
+    if (LogitsGrad.empty()) {
+      LogitsGrad = Tensor(Net.activation(Built->LogitsNode).shape());
+      fillRandom(LogitsGrad.data(), LogitsGrad.size(), Generator);
+    }
+    Net.zeroGrads();
+    Net.seedGradient(Built->LogitsNode, LogitsGrad);
+    Net.backward();
+  };
+  const double StepSec = secondsPerCall(Step);
+
+  struct Replay {
+    Layer *Node;
+    std::vector<const Tensor *> Inputs;
+    Tensor Out;
+    const Tensor *GradOut;
+    std::vector<Tensor> GradIns;
+    std::vector<Tensor *> GradPtrs;
+    LayerScratch Scratch;
+  };
+  std::vector<Replay> Nodes;
+  for (const std::string &Name : Net.nodeNames()) {
+    if (!Net.findLayer(Name) || !Net.outputGradient(Name))
+      continue;
+    Replay R;
+    R.Node = &Net.layer(Name);
+    R.Out = Tensor(Net.activation(Name).shape());
+    R.GradOut = Net.outputGradient(Name);
+    for (const std::string &Input : Net.nodeInputs(Name)) {
+      R.Inputs.push_back(&Net.activation(Input));
+      // Input placeholders take no gradient, as in the graph's pass.
+      R.GradIns.emplace_back(Net.findLayer(Input)
+                                 ? Tensor(Net.activation(Input).shape())
+                                 : Tensor());
+    }
+    Nodes.push_back(std::move(R));
+  }
+  for (Replay &R : Nodes)
+    for (Tensor &G : R.GradIns)
+      R.GradPtrs.push_back(G.empty() ? nullptr : &G);
+
+  struct KindTime {
+    int Layers = 0;
+    double Forward = 0.0;
+    double Backward = 0.0;
+  };
+  std::map<std::string, KindTime> ByKind;
+  for (const Replay &R : Nodes)
+    ++ByKind[R.Node->kind()].Layers;
+  for (int S = 0; S <= Steps; ++S) {
+    for (Replay &R : Nodes) {
+      for (Tensor &G : R.GradIns)
+        if (!G.empty())
+          G.zero();
+      // Step 0 is the warmup: scratch allocation, first-touch faults.
+      KindTime Discard;
+      KindTime &Into = S == 0 ? Discard : ByKind[R.Node->kind()];
+      timeInto(Into.Forward, [&] {
+        R.Node->forward(R.Inputs, R.Out, R.Scratch, /*Training=*/true);
+      });
+      timeInto(Into.Backward, [&] {
+        R.Node->backward(R.Inputs, R.Out, *R.GradOut, R.Scratch,
+                         R.GradPtrs);
+      });
+    }
+  }
+
+  Table KindTable({"layer kind", "layers", "fwd ms", "bwd ms", "share"});
+  double LayerTotal = 0.0;
+  for (const auto &[Kind, Time] : ByKind)
+    LayerTotal += Time.Forward + Time.Backward;
+  for (const auto &[Kind, Time] : ByKind) {
+    const double FwdMs = Time.Forward / Steps * 1e3;
+    const double BwdMs = Time.Backward / Steps * 1e3;
+    KindTable.addRow(
+        {Kind, std::to_string(Time.Layers), formatDouble(FwdMs, 4),
+         formatDouble(BwdMs, 4),
+         formatDouble(100.0 * (Time.Forward + Time.Backward) / LayerTotal,
+                      1) +
+             "%"});
+    JsonObject Row;
+    Row.field("kind", "train_step_layer")
+        .field("model", "mini-resnet-a")
+        .field("batch", Batch)
+        .field("layer_kind", Kind)
+        .field("layers", Time.Layers)
+        .field("forward_ms", FwdMs, 5)
+        .field("backward_ms", BwdMs, 5);
+    Push(Row);
+  }
+  std::printf("--- Training step by layer kind (mini-resnet-a, batch %d, "
+              "1 worker) ---\n%s\n",
+              Batch, KindTable.render().c_str());
+  std::printf("layer sum %.3f ms vs measured step %.3f ms\n\n",
+              LayerTotal / Steps * 1e3, StepSec * 1e3);
+  JsonObject StepRow;
+  StepRow.field("kind", "train_step")
+      .field("model", "mini-resnet-a")
+      .field("batch", Batch)
+      .field("step_ms", StepSec * 1e3, 5)
+      .field("layer_sum_ms", LayerTotal / Steps * 1e3, 5);
+  Push(StepRow);
+
+  // Kernel phases of every conv in the step, on its own shapes. Each of
+  // the three per-sample GEMMs (forward, dW, dCols) runs once through
+  // the reference loops and once through the blocked engine; the
+  // dispatching entry points pick one by size (gemmUsesBlockedEngine).
+  double Im2colSec = 0.0, Col2imSec = 0.0, RefSec = 0.0, BlockedSec = 0.0;
+  double DispatchedSec = 0.0;
+  int Convs = 0;
+  for (int S = 0; S <= Steps; ++S) {
+    for (Replay &R : Nodes) {
+      const auto *Conv = dynamic_cast<const Conv2D *>(R.Node);
+      if (!Conv)
+        continue;
+      Convs += S == 0;
+      const ConvGeometry &G = Conv->geometry();
+      const Shape &InShape = R.Inputs[0]->shape();
+      const int Height = InShape[2], Width = InShape[3];
+      const int M = G.OutChannels;
+      const int K = G.InChannels * G.KernelSize * G.KernelSize;
+      const int N = G.outExtent(Height) * G.outExtent(Width);
+      const size_t InPlane = static_cast<size_t>(G.InChannels) * Height *
+                             Width;
+      const size_t ColsPlane = static_cast<size_t>(K) * N;
+      const size_t OutPlane = static_cast<size_t>(M) * N;
+      std::vector<float> Columns(ColsPlane), ColsGrad(ColsPlane);
+      std::vector<float> Image(InPlane);
+      std::vector<float> Product(
+          std::max(OutPlane, static_cast<size_t>(M) * K));
+      float *Cols = Columns.data();
+      const float *W = Conv->weight().Value.data();
+      const float *GradOut = R.GradOut->data();
+      double Discard = 0.0;
+      const bool Timed = S > 0;
+      for (int Sample = 0; Sample < Batch; ++Sample) {
+        const float *InSample = R.Inputs[0]->data() + Sample * InPlane;
+        const float *GradSample = GradOut + Sample * OutPlane;
+        timeInto(Timed ? Im2colSec : Discard, [&] {
+          im2col(InSample, G.InChannels, Height, Width, G, Cols);
+        });
+        timeInto(Timed ? Col2imSec : Discard, [&] {
+          col2im(Cols, G.InChannels, Height, Width, G, Image.data());
+        });
+        timeInto(Timed ? RefSec : Discard, [&] {
+          gemmReference(W, Cols, Product.data(), M, K, N);
+          gemmTransposeBReference(GradSample, Cols, Product.data(), M, N,
+                                  K);
+          gemmTransposeAReference(W, GradSample, ColsGrad.data(), K, M, N);
+        });
+        timeInto(Timed ? BlockedSec : Discard, [&] {
+          detail::blockedGemm(W, K, 1, Cols, N, 1, Product.data(), M, K, N,
+                              false, nullptr);
+          detail::blockedGemm(GradSample, N, 1, Cols, 1, N, Product.data(),
+                              M, N, K, false, nullptr);
+          detail::blockedGemm(W, 1, K, GradSample, N, 1, ColsGrad.data(), K,
+                              M, N, false, nullptr);
+        });
+        timeInto(Timed ? DispatchedSec : Discard, [&] {
+          gemm(W, Cols, Product.data(), M, K, N);
+          gemmTransposeB(GradSample, Cols, Product.data(), M, N, K);
+          gemmTransposeA(W, GradSample, ColsGrad.data(), K, M, N);
+        });
+      }
+    }
+  }
+  Table PhaseTable({"phase", "ms per step"});
+  const std::pair<const char *, double> Phases[] = {
+      {"im2col", Im2colSec},
+      {"col2im", Col2imSec},
+      {"gemm reference loops", RefSec},
+      {"gemm blocked engine", BlockedSec},
+      {"gemm as dispatched", DispatchedSec}};
+  JsonObject PhaseRow;
+  PhaseRow.field("kind", "train_step_phases")
+      .field("model", "mini-resnet-a")
+      .field("batch", Batch)
+      .field("convs", Convs);
+  for (const auto &[Phase, Seconds] : Phases) {
+    PhaseTable.addRow({Phase, formatDouble(Seconds / Steps * 1e3, 4)});
+    std::string Key = Phase;
+    std::replace(Key.begin(), Key.end(), ' ', '_');
+    PhaseRow.field(Key + "_ms", Seconds / Steps * 1e3, 5);
+  }
+  Push(PhaseRow);
+  std::printf("--- Conv kernel phases per training step (%d convs) "
+              "---\n%s\n",
+              Convs, PhaseTable.render().c_str());
 }
 
 } // namespace
@@ -327,6 +556,8 @@ int main() {
   setKernelWorkers(1);
   std::printf("--- Split crossover (%u workers) ---\n%s\n", MtWorkers,
               SplitTable.render().c_str());
+
+  trainingStepSection(pushRow, Generator);
 
   const std::string JsonPath = "BENCH_kernels.json";
   Error WriteErr = writeFile(JsonPath, "[\n  " + JsonRows + "\n]\n");

@@ -104,7 +104,6 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
     // proposals are missing gets pre-trained.
     std::vector<TuningBlock> RoundBlocks;
     std::vector<std::vector<int>> CompositeVectors;
-    size_t NeededBlockUses = 0;
     if (Options.UseComposability) {
       if (Options.UseIdentifier) {
         IdentifierResult Identified = identifyTuningBlocks(
@@ -115,9 +114,6 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
         RoundBlocks = perModuleBlocks(Proposals);
         CompositeVectors = coverWithBlocks(Proposals, RoundBlocks);
       }
-      for (const std::vector<int> &Vector : CompositeVectors)
-        for (int BlockIndex : Vector)
-          NeededBlockUses += !RoundBlocks[BlockIndex].isIdentity();
       for (const TuningBlock &Block : RoundBlocks)
         if (SeenBlockIds.insert(Block.id()).second)
           Run.Blocks.push_back(Block);
@@ -133,9 +129,10 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
         return Error::failure("job cancelled");
       Result<PretrainStats> Stats = pretrainBlocks(
           Engine.model(), Engine.teacher(), "full", RoundBlocks, Data, Meta,
-          Store, Generator, &Engine.scores(), &Log, &Cache);
+          Store, Generator, &Engine.scores(), &Log, &Cache, GroupCounter);
       if (!Stats)
         return Stats.takeError();
+      GroupCounter += static_cast<size_t>(Stats->GroupCount);
       Info.BlocksTrained = Stats->BlockCount;
       Run.Pretrain.BlockCount += Stats->BlockCount;
       Run.Pretrain.GroupCount += Stats->GroupCount;
@@ -287,8 +284,30 @@ Result<StrategyRunResult> wootz::runStrategyExploration(
                        static_cast<double>(Run.FullWeightCount);
     }
 
-    Info.BlocksReused = static_cast<int>(NeededBlockUses) -
-                        Info.BlocksTrained;
+    // Reuse counts the non-identity block uses of the proposals that
+    // ran, minus the first use of each block trained this round. Under
+    // EvalOnly every proposal runs, so every trained block is used;
+    // under Overlap a block was trained when its group task ran, and
+    // cancelled proposals used nothing.
+    int BlockUses = 0;
+    std::set<std::string> FreshUsed;
+    for (size_t P = 0; P < CompositeVectors.size(); ++P) {
+      if (Graph.state(EvalTask[P]) != TaskState::Done)
+        continue;
+      for (int BlockIndex : CompositeVectors[P]) {
+        const TuningBlock &Block = RoundBlocks[BlockIndex];
+        if (Block.isIdentity())
+          continue;
+        ++BlockUses;
+        auto It = GroupOfBlock.find(Block.id());
+        if (It != GroupOfBlock.end() &&
+            Graph.state(GroupTask[It->second]) == TaskState::Done)
+          FreshUsed.insert(Block.id());
+      }
+    }
+    Info.BlocksReused =
+        BlockUses - (Overlap ? static_cast<int>(FreshUsed.size())
+                             : Info.BlocksTrained);
     Log.bump("strategy.blocks_reused", Info.BlocksReused);
     Out.BlocksReused += Info.BlocksReused;
     Out.Proposals += Info.Proposals;

@@ -2,6 +2,7 @@
 
 #include "src/nn/Layers.h"
 
+#include "src/tensor/ArchClones.h"
 #include "src/tensor/Kernels.h"
 #include "src/tensor/PackedWeights.h"
 
@@ -61,11 +62,12 @@ void Conv2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   // Inference packs GEMM panels straight from the input image — no
   // materialized im2col matrix at all — reusing the weight panels the
   // process-wide cache packed on first sight of this weight tensor.
-  // Any batch im2col buffer a previous training pass left behind is
-  // released so evaluation holds no column memory.
+  // The batch im2col and gradient buffers a previous training pass left
+  // behind are released so evaluation holds no training memory.
   if (!Training) {
-    if (!Scratch.Buffers.empty() && !Scratch.Buffers[0].empty())
-      Scratch.Buffers[0] = Tensor();
+    for (Tensor &Buffer : Scratch.Buffers)
+      if (!Buffer.empty())
+        Buffer = Tensor();
     const std::shared_ptr<const PackedPanels> Packed =
         PackedWeightsCache::instance().convWeights(
             WeightPtr, Geometry.OutChannels, ColRows);
@@ -76,9 +78,10 @@ void Conv2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   }
 
   // Training keeps the whole batch's im2col expansion for backward to
-  // reuse.
-  if (Scratch.Buffers.empty())
-    Scratch.Buffers.emplace_back();
+  // reuse. Scratch: [0] im2col columns, [1]/[2] backward's per-sample
+  // weight/bias gradients.
+  if (Scratch.Buffers.size() < 3)
+    Scratch.Buffers.resize(3);
   Tensor *Cols = &Scratch.Buffers[0];
   const Shape ColsShape{Batch, 1, ColRows, ColCols};
   if (Cols->shape() != ColsShape)
@@ -146,11 +149,18 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
 
   // Samples split across the kernel workers. Input gradients land in
   // disjoint per-sample planes; parameter gradients accumulate into
-  // per-sample buffers that are reduced in sample order below, so the
-  // result is bit-identical for any worker count (and matches the old
-  // serial sample-by-sample accumulation order).
-  std::vector<std::vector<float>> WeightGrads(Batch);
-  std::vector<std::vector<float>> BiasGrads(HasBias ? Batch : 0);
+  // per-sample rows of the scratch buffers that are reduced in sample
+  // order below, so the result is bit-identical for any worker count
+  // (and matches the old serial sample-by-sample accumulation order).
+  // Every row is overwritten before it is read.
+  Tensor &WeightGrads = Scratch.Buffers[1];
+  const Shape WeightGradsShape{Batch, static_cast<int>(WeightCount)};
+  if (WeightGrads.shape() != WeightGradsShape)
+    WeightGrads = Tensor(WeightGradsShape);
+  Tensor &BiasGrads = Scratch.Buffers[2];
+  const Shape BiasGradsShape{Batch, Geometry.OutChannels};
+  if (HasBias && BiasGrads.shape() != BiasGradsShape)
+    BiasGrads = Tensor(BiasGradsShape);
 
   // Roughly three forward-sized GEMMs per sample (dW, dCols, col2im
   // traffic); fan out only when the measured cost model approves.
@@ -163,13 +173,11 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
       const float *SampleCols = Cols.data() + N * ColsPlane;
       const float *GradOutSample = GradOut.data() + N * OutPlane;
       // dW(sample) = dOut * cols^T.
-      std::vector<float> &WGrad = WeightGrads[N];
-      WGrad.resize(WeightCount);
-      gemmTransposeB(GradOutSample, SampleCols, WGrad.data(),
+      gemmTransposeB(GradOutSample, SampleCols,
+                     WeightGrads.data() + N * WeightCount,
                      Geometry.OutChannels, ColCols, ColRows);
       if (HasBias) {
-        std::vector<float> &BGrad = BiasGrads[N];
-        BGrad.resize(BiasCount);
+        float *BGrad = BiasGrads.data() + N * BiasCount;
         for (int O = 0; O < Geometry.OutChannels; ++O) {
           const float *Plane =
               GradOutSample + static_cast<size_t>(O) * ColCols;
@@ -191,9 +199,11 @@ void Conv2D::backward(const std::vector<const Tensor *> &Inputs,
   });
 
   for (int N = 0; N < Batch; ++N) {
-    axpy(1.0f, WeightGrads[N].data(), Weight.Grad.data(), WeightCount);
+    axpy(1.0f, WeightGrads.data() + N * WeightCount, Weight.Grad.data(),
+         WeightCount);
     if (HasBias)
-      axpy(1.0f, BiasGrads[N].data(), Bias.Grad.data(), BiasCount);
+      axpy(1.0f, BiasGrads.data() + N * BiasCount, Bias.Grad.data(),
+           BiasCount);
   }
 }
 
@@ -378,6 +388,28 @@ void BatchNorm2D::initParams(Rng &Generator) {
 // ReLU
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// Out[I] = max(In[I], 0), with NaN and -0 mapping to +0. The selects in
+/// both ReLU loops vectorize instead of branching per element; the loops
+/// do no multiply-add, so the per-ISA clones compute the same bits as
+/// the baseline body.
+WOOTZ_ARCH_CLONES
+void reluForward(const float *__restrict In, float *__restrict Out,
+                 size_t Count) {
+  for (size_t I = 0; I < Count; ++I)
+    Out[I] = In[I] > 0.0f ? In[I] : 0.0f;
+}
+
+/// GradIn[I] += GradOut[I] wherever Out[I] > 0.
+WOOTZ_ARCH_CLONES
+void reluBackward(const float *__restrict Out,
+                  const float *__restrict GradOut, float *__restrict GradIn,
+                  size_t Count) {
+  for (size_t I = 0; I < Count; ++I)
+    GradIn[I] = Out[I] > 0.0f ? GradIn[I] + GradOut[I] : GradIn[I];
+}
+} // namespace
+
 Shape ReLU::outputShape(const std::vector<Shape> &InputShapes) const {
   assert(InputShapes.size() == 1 && "relu expects one input");
   return InputShapes[0];
@@ -388,8 +420,7 @@ void ReLU::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   (void)Scratch;
   (void)Training;
   const Tensor &In = *Inputs[0];
-  for (size_t I = 0; I < In.size(); ++I)
-    Out[I] = In[I] > 0.0f ? In[I] : 0.0f;
+  reluForward(In.data(), Out.data(), In.size());
 }
 
 void ReLU::backward(const std::vector<const Tensor *> &Inputs,
@@ -401,9 +432,7 @@ void ReLU::backward(const std::vector<const Tensor *> &Inputs,
   Tensor *GradIn = GradInputs[0];
   if (!GradIn)
     return;
-  for (size_t I = 0; I < Out.size(); ++I)
-    if (Out[I] > 0.0f)
-      (*GradIn)[I] += GradOut[I];
+  reluBackward(Out.data(), GradOut.data(), GradIn->data(), Out.size());
 }
 
 //===----------------------------------------------------------------------===//

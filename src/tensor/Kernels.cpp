@@ -26,6 +26,7 @@
 #include "src/tensor/Kernels.h"
 
 #include "src/support/ThreadPool.h"
+#include "src/tensor/ArchClones.h"
 
 #include <algorithm>
 #include <cassert>
@@ -224,23 +225,8 @@ void packBPanels(const float *B, size_t RowStride, size_t ColStride,
   }
 }
 
-// The macro-kernel is where all the flops happen, so it alone carries
-// per-ISA clones: the binary stays portable (baseline x86-64) while the
-// dynamic linker picks an AVX2/FMA or AVX-512 body on capable hosts.
-// Microarchitecture *levels* (x86-64-v3/v4) rather than named CPUs: the
-// resolver then dispatches on the feature bitset instead of an exact
-// CPU-model match, which matters on virtualized hosts reporting generic
-// model strings. Clones are disabled under sanitizers (ifunc resolvers
-// run before the sanitizer runtime is ready) and on non-GCC/non-x86
-// builds.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) &&        \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define WOOTZ_ARCH_CLONES                                                     \
-  __attribute__((                                                             \
-      target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#else
-#define WOOTZ_ARCH_CLONES
-#endif
+// The macro-kernel is where all the flops happen, so it carries per-ISA
+// clones (tensor/ArchClones.h).
 
 /// 8-wide vector lane used to spell the micro-kernel accumulators
 /// explicitly. GCC lowers operations on it to the best ISA of whichever

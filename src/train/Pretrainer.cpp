@@ -101,7 +101,7 @@ Result<PretrainStats> wootz::pretrainBlocks(
     const std::string &FullPrefix, const std::vector<TuningBlock> &Blocks,
     const Dataset &Data, const TrainMeta &Meta, CheckpointStore &Store,
     Rng &Generator, const FilterScores *Scores, RunLog *Log,
-    BlockCache *Cache) {
+    BlockCache *Cache, size_t FirstGroupIndex) {
   Stopwatch TotalTimer;
   PretrainStats Stats;
 
@@ -140,7 +140,8 @@ Result<PretrainStats> wootz::pretrainBlocks(
       return GroupStats.takeError();
     if (Log) {
       SpanEvent Span;
-      Span.Name = "pretrain:g" + std::to_string(GroupIndex);
+      Span.Name =
+          "pretrain:g" + std::to_string(FirstGroupIndex + GroupIndex);
       Span.ReadyAt = StartAt;
       Span.StartAt = StartAt;
       Span.EndAt = Log->now();

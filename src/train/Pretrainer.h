@@ -88,16 +88,19 @@ uint64_t pretrainGroupSeed(uint64_t BaseSeed,
 /// the same), and each group trains on its own pretrainGroupSeed()
 /// stream, so skipping blocks never shifts the caller's later draws.
 /// When \p Log is given each group is recorded as a "pretrain:g<index>"
-/// span. When \p Cache is given, blocks already in the cross-run cache
-/// are fetched instead of trained (they do not count toward
-/// BlockCount), and freshly trained blocks are published back.
+/// span, numbered from \p FirstGroupIndex (a multi-round caller passes
+/// the groups it already trained, so names stay unique). When \p Cache
+/// is given, blocks already in the cross-run cache are fetched instead
+/// of trained (they do not count toward BlockCount), and freshly trained
+/// blocks are published back.
 Result<PretrainStats>
 pretrainBlocks(const MultiplexingModel &Model, Graph &FullTrained,
                const std::string &FullPrefix,
                const std::vector<TuningBlock> &Blocks, const Dataset &Data,
                const TrainMeta &Meta, CheckpointStore &Store,
                Rng &Generator, const FilterScores *Scores = nullptr,
-               RunLog *Log = nullptr, BlockCache *Cache = nullptr);
+               RunLog *Log = nullptr, BlockCache *Cache = nullptr,
+               size_t FirstGroupIndex = 0);
 
 } // namespace wootz
 

@@ -194,6 +194,31 @@ TEST_F(RuntimePipelineFixture, OverlapScheduleOverlapsAndCancels) {
   EXPECT_NE(Report.find("cancelled"), std::string::npos);
 }
 
+TEST_F(RuntimePipelineFixture, OverlapReuseCountsOnlyEvaluationsThatRan) {
+  // Inline Overlap with frontier cancellation: the smallest configuration
+  // satisfies the objective, so it alone runs, on the two blocks its
+  // groups freshly trained. Nothing was reused — the cancelled
+  // proposals' block uses must not count.
+  const PruningObjective Objective = smallestMeetingAccuracy(0.0);
+  PipelineOptions Options;
+  Options.UseComposability = true;
+  Options.UseIdentifier = false;
+  Options.Schedule = PipelineSchedule::Overlap;
+  Options.Workers = 1;
+  Options.CancelObjective = &Objective;
+  Rng Generator(21);
+  Result<PipelineResult> Run =
+      runPruningPipeline(Spec, Data, Subspace, Meta, Options, Generator);
+  ASSERT_TRUE(static_cast<bool>(Run)) << Run.message();
+  size_t Ran = 0;
+  for (const EvaluatedConfig &E : Run->Evaluations)
+    Ran += !E.Cancelled;
+  ASSERT_EQ(Ran, 1u);
+  ASSERT_FALSE(Run->Evaluations[0].Cancelled);
+  EXPECT_EQ(Run->Evaluations[0].BlocksUsed.size(), 2u);
+  EXPECT_EQ(Run->Telemetry.counter("strategy.blocks_reused"), 0);
+}
+
 TEST_F(RuntimePipelineFixture, OverlapWinnerIsDeterministic) {
   const PruningObjective Objective = smallestMeetingAccuracy(0.0);
   auto RunOnce = [&]() {

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 using namespace wootz;
@@ -417,6 +418,32 @@ TEST_F(StrategyDriverFixture, GreedyReportsCommitsAndReuse) {
   EXPECT_GT(Search->RoundsInfo[1].BlocksReused, 0);
   EXPECT_EQ(Search->Run.Telemetry.counter("strategy.blocks_reused"),
             Search->BlocksReused);
+}
+
+TEST_F(StrategyDriverFixture, EvalOnlyPretrainSpansAreNumberedAcrossRounds) {
+  // Every round pre-trains its new blocks before its evaluations; the
+  // group spans continue the run's numbering instead of restarting at
+  // pretrain:g0 each round.
+  std::unique_ptr<ExplorationStrategy> Strategy =
+      build(StrategyKind::Greedy, 4);
+  ASSERT_TRUE(Strategy);
+  Rng Generator(31);
+  Result<StrategyRunResult> Search = runStrategyExploration(
+      Spec, Data, *Strategy, Meta, evalOnlyOptions(), Objective, Generator);
+  ASSERT_TRUE(static_cast<bool>(Search)) << Search.message();
+
+  std::set<std::string> Names;
+  size_t PretrainSpans = 0;
+  for (const SpanEvent &Span : Search->Run.Telemetry.Spans) {
+    if (Span.Kind != "pretrain")
+      continue;
+    ++PretrainSpans;
+    Names.insert(Span.Name);
+  }
+  EXPECT_GE(PretrainSpans, 2u);
+  EXPECT_EQ(PretrainSpans,
+            static_cast<size_t>(Search->Run.Pretrain.GroupCount));
+  EXPECT_EQ(Names.size(), PretrainSpans) << "duplicate pretrain span names";
 }
 
 //===----------------------------------------------------------------------===//
