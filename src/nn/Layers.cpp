@@ -4,7 +4,6 @@
 
 #include "src/tensor/ArchClones.h"
 #include "src/tensor/Kernels.h"
-#include "src/tensor/PackedWeights.h"
 
 #include <cmath>
 #include <cstring>
@@ -60,19 +59,16 @@ void Conv2D::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
   const float *BiasPtr = HasBias ? Bias.Value.data() : nullptr;
 
   // Inference packs GEMM panels straight from the input image — no
-  // materialized im2col matrix at all — reusing the weight panels the
-  // process-wide cache packed on first sight of this weight tensor.
+  // materialized im2col matrix at all — and packs the weight panels per
+  // call, as training does (frozen plans pre-pack theirs at freeze).
   // The batch im2col and gradient buffers a previous training pass left
   // behind are released so evaluation holds no training memory.
   if (!Training) {
     for (Tensor &Buffer : Scratch.Buffers)
       if (!Buffer.empty())
         Buffer = Tensor();
-    const std::shared_ptr<const PackedPanels> Packed =
-        PackedWeightsCache::instance().convWeights(
-            WeightPtr, Geometry.OutChannels, ColRows);
     convForwardFused(In.data(), Batch, Height, Width, Geometry,
-                     Packed.get(), WeightPtr, BiasPtr,
+                     /*WeightsPre=*/nullptr, WeightPtr, BiasPtr,
                      /*FuseReLU=*/false, Out.data());
     return;
   }
@@ -644,26 +640,13 @@ Shape Dense::outputShape(const std::vector<Shape> &InputShapes) const {
 
 void Dense::forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
                     LayerScratch &Scratch, bool Training) const {
+  // Eval and training run the same product.
   (void)Scratch;
+  (void)Training;
   const Tensor &In = *Inputs[0];
   const int Batch = In.shape()[0];
-  // Eval reuses cached pre-packed B panels of W^T on the blocked path:
-  // same engine, same panels, bit-identical to packing per call — but
-  // the pack happens once per process instead of once per request.
-  // Training weights mutate every step, so the cache would repack per
-  // call there; skip it.
-  if (!Training && gemmUsesBlockedEngine(Batch, InFeatures, OutFeatures)) {
-    const std::shared_ptr<const PackedPanels> Packed =
-        PackedWeightsCache::instance().denseWeights(
-            Weight.Value.data(), OutFeatures, InFeatures);
-    detail::blockedGemmPacked(
-        nullptr, In.data(), static_cast<size_t>(InFeatures), 1,
-        Packed.get(), nullptr, 0, 0, Out.data(), Batch, InFeatures,
-        OutFeatures, /*Accumulate=*/false, /*RowBias=*/nullptr);
-  } else {
-    gemmTransposeB(In.data(), Weight.Value.data(), Out.data(), Batch,
-                   InFeatures, OutFeatures);
-  }
+  gemmTransposeB(In.data(), Weight.Value.data(), Out.data(), Batch,
+                 InFeatures, OutFeatures);
   for (int N = 0; N < Batch; ++N)
     axpy(1.0f, Bias.Value.data(),
          Out.data() + static_cast<size_t>(N) * OutFeatures, OutFeatures);

@@ -2,10 +2,6 @@
 
 #include "src/serve/Batcher.h"
 
-#include "src/nn/Layers.h"
-#include "src/tensor/Ops.h"
-#include "src/tensor/PackedWeights.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -225,42 +221,9 @@ Error ModelRegistry::add(const std::string &Id,
         Channels, Height, Width);
     if (Compiled)
       Model->Plan = std::make_shared<const ExecPlan>(Compiled.take());
-    else if (Log)
-      Log->bump("serve.models.plan_fallback");
-    if (Model->Plan && Log)
-      Log->bump("serve.models.plans_compiled");
-  }
-  if (!Model->Plan) {
-    // Interpreter-served models warm the process-wide weight-panel
-    // cache at registration, so the first predict request does not pay
-    // for packing: every conv and dense weight is packed exactly once
-    // per process here and shared read-only by all forwards.
-    // (Plan-served models carry their own panels, packed at freeze.)
-    PackedWeightsCache &Cache = PackedWeightsCache::instance();
-    size_t Warmed = 0;
-    for (const std::string &Name : Network->Network.nodeNames()) {
-      const Layer *L = Network->Network.findLayer(Name);
-      if (!L)
-        continue;
-      if (L->kind() == "conv") {
-        const auto &Conv = static_cast<const Conv2D &>(*L);
-        const ConvGeometry &G = Conv.geometry();
-        Cache.convWeights(Conv.weight().Value.data(), G.OutChannels,
-                          G.InChannels * G.KernelSize * G.KernelSize);
-        ++Warmed;
-      } else if (L->kind() == "dense") {
-        const auto &Fc = static_cast<const Dense &>(*L);
-        if (gemmUsesBlockedEngine(Batching.MaxBatch, Fc.inFeatures(),
-                                  Fc.outFeatures())) {
-          Cache.denseWeights(Fc.weight().Value.data(), Fc.outFeatures(),
-                             Fc.inFeatures());
-          ++Warmed;
-        }
-      }
-    }
-    if (Log && Warmed > 0)
-      Log->bump("serve.models.weights_packed",
-                static_cast<int64_t>(Warmed));
+    if (Log)
+      Log->bump(Model->Plan ? "serve.models.plans_compiled"
+                            : "serve.models.plan_fallback");
   }
   Model->Engine = std::make_unique<Batcher>(
       std::move(Network), Batching, Log, Latency, Model->Plan, &Contexts);

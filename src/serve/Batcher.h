@@ -59,10 +59,11 @@ struct BatcherOptions {
   /// through a private context over the shared Graph.
   int Workers = 2;
   /// Freeze each registered model into a static ExecPlan at add() time
-  /// and serve through PlanContexts instead of the Graph interpreter.
-  /// Models whose graphs fail to compile fall back to the interpreter
-  /// (the registry bumps `serve.models.plan_fallback`).
-  bool UsePlans = false;
+  /// and serve through PlanContexts, whose panels were packed at freeze.
+  /// A graph the plan compiler rejects serves through the Graph
+  /// interpreter instead (the registry bumps `serve.models.plan_fallback`).
+  /// false serves every model through the interpreter.
+  bool UsePlans = true;
   /// Trim policy of the context pool the forwards borrow from.
   ContextPoolOptions Pool;
 };
@@ -154,8 +155,9 @@ struct ServableModel {
   /// Provenance note surfaced in the model listing ("job job-3 winner",
   /// "preloaded full model", ...).
   std::string Origin;
-  /// The frozen static plan when BatcherOptions::UsePlans compiled one;
-  /// null means the batcher interprets the Graph.
+  /// The frozen static plan compiled at registration; null when
+  /// BatcherOptions::UsePlans is off or the compiler rejected the graph,
+  /// and the batcher interprets the Graph.
   std::shared_ptr<const ExecPlan> Plan;
   std::unique_ptr<Batcher> Engine;
 };

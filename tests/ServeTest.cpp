@@ -13,6 +13,7 @@
 #include "src/serve/Server.h"
 
 #include "src/compiler/GraphBuilder.h"
+#include "src/compiler/Multiplexing.h"
 #include "src/compiler/Solver.h"
 #include "src/data/Synthetic.h"
 #include "src/models/MiniModels.h"
@@ -33,6 +34,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <mutex>
@@ -774,9 +776,7 @@ TEST(ServeBatcherTest, RegistryCompilesPlansWhenEnabled) {
   const BuiltModel &Model = builtModel();
   ASSERT_TRUE(Model.Network);
   RunLog Log;
-  BatcherOptions Options;
-  Options.UsePlans = true;
-  ModelRegistry Registry(Options, &Log, nullptr);
+  ModelRegistry Registry(BatcherOptions(), &Log, nullptr);
   ASSERT_FALSE(static_cast<bool>(Registry.add(
       "frozen", Model.Network, Model.Channels, Model.Height, Model.Width,
       Model.Classes, "test")));
@@ -793,6 +793,158 @@ TEST(ServeBatcherTest, RegistryCompilesPlansWhenEnabled) {
   EXPECT_EQ(Out->Logits.shape()[0], Model.Classes);
   Registry.stopAll();
   EXPECT_GE(Log.counters().at("serve.predict.plan_batches"), 1);
+}
+
+/// One randomly initialized full mini, ready to register.
+std::shared_ptr<AssembledNetwork> fullMiniNetwork(StandardModel Which) {
+  Result<ModelSpec> Spec = makeStandardModel(Which, 4);
+  EXPECT_TRUE(static_cast<bool>(Spec)) << Spec.message();
+  auto Net = std::make_shared<AssembledNetwork>();
+  Net->InputNode = Spec->InputName;
+  const MultiplexingModel Model(Spec.take());
+  Rng Generator(11);
+  Result<BuildResult> Built = Model.build(
+      Net->Network, BuildMode::FullModel, PruneInfo(), "full", Generator);
+  EXPECT_TRUE(static_cast<bool>(Built)) << Built.message();
+  Net->LogitsNode = Built->LogitsNode;
+  Net->Network.initParams(Generator);
+  return Net;
+}
+
+/// Sample \p Index of a deterministic [1, 3, 8, 8] request stream.
+Tensor miniSample(int Index) {
+  Tensor Sample(Shape{1, 3, 8, 8});
+  for (size_t I = 0; I < Sample.size(); ++I)
+    Sample.data()[I] =
+        0.05f * static_cast<float>(static_cast<int>((I + 5 * Index) % 13) - 6);
+  return Sample;
+}
+
+void expectRowBitIdentical(const Tensor &Row, const Tensor &Batch, int Index,
+                           const std::string &What) {
+  const int Classes = Batch.shape()[1];
+  ASSERT_EQ(Row.size(), static_cast<size_t>(Classes)) << What;
+  EXPECT_EQ(0, std::memcmp(Row.data(),
+                           Batch.data() + static_cast<size_t>(Index) * Classes,
+                           static_cast<size_t>(Classes) * sizeof(float)))
+      << What << ": served logits differ from the frozen plan's";
+}
+
+TEST(ServeBatcherTest, DefaultRegistryServesEveryMiniThroughItsFrozenPlan) {
+  RunLog Log;
+  ModelRegistry Registry(BatcherOptions(), &Log, nullptr);
+  std::vector<std::shared_ptr<AssembledNetwork>> Networks;
+  for (StandardModel Which : standardModels()) {
+    Networks.push_back(fullMiniNetwork(Which));
+    ASSERT_FALSE(static_cast<bool>(
+        Registry.add(standardModelName(Which), Networks.back(), 3, 8, 8, 4,
+                     "test")));
+  }
+  EXPECT_EQ(Log.counters().at("serve.models.plans_compiled"), 4);
+  EXPECT_EQ(Log.counters().count("serve.models.plan_fallback"), 0u);
+
+  constexpr int Requests = 4;
+  std::vector<Tensor> Samples;
+  Tensor Stacked(Shape{Requests, 3, 8, 8});
+  for (int I = 0; I < Requests; ++I) {
+    Samples.push_back(miniSample(I));
+    std::memcpy(Stacked.data() + I * Samples[I].size(), Samples[I].data(),
+                Samples[I].size() * sizeof(float));
+  }
+  for (size_t M = 0; M < Networks.size(); ++M) {
+    const std::string Id = standardModelName(standardModels()[M]);
+    ServableModel *Servable = Registry.find(Id);
+    ASSERT_NE(Servable, nullptr);
+    ASSERT_NE(Servable->Plan, nullptr) << Id;
+    PlanContext Reference(*Servable->Plan);
+
+    // Batch 1: one request at a time through the registry's engine.
+    for (int I = 0; I < Requests; ++I) {
+      const Tensor Expected = Reference.run(Samples[I]);
+      Result<Prediction> Out = Servable->Engine->predict(Samples[I]);
+      ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
+      EXPECT_EQ(Out->BatchSize, 1);
+      expectRowBitIdentical(Out->Logits, Expected, 0, Id + " batch 1");
+    }
+
+    // Coalesced: one forward slot whose leader lingers until every
+    // request is queued, so all of them ride one batch through the same
+    // frozen plan. Each logit row depends only on its own sample, so the
+    // batch's FIFO order does not matter.
+    const Tensor Expected = Reference.run(Stacked);
+    BatcherOptions Crowding;
+    Crowding.MaxBatch = Requests;
+    Crowding.Workers = 1;
+    Crowding.MaxWaitMicros = 10000000;
+    Batcher Engine(Networks[M], Crowding, nullptr, nullptr, Servable->Plan);
+    std::vector<std::future<Result<Prediction>>> Pending;
+    for (int I = 0; I < Requests; ++I)
+      Pending.push_back(std::async(std::launch::async, [&, I] {
+        return Engine.predict(Samples[I]);
+      }));
+    for (int I = 0; I < Requests; ++I) {
+      Result<Prediction> Out = Pending[I].get();
+      ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
+      EXPECT_EQ(Out->BatchSize, Requests);
+      expectRowBitIdentical(Out->Logits, Expected, I, Id + " coalesced");
+    }
+    Engine.stop();
+  }
+  Registry.stopAll();
+}
+
+/// A layer kind with no plan lowering: halves its input.
+class HalveLayer : public Layer {
+public:
+  std::string kind() const override { return "halve"; }
+  Shape outputShape(const std::vector<Shape> &In) const override {
+    return In[0];
+  }
+  void forward(const std::vector<const Tensor *> &Inputs, Tensor &Out,
+               LayerScratch &, bool) const override {
+    for (size_t I = 0; I < Out.size(); ++I)
+      Out.data()[I] = 0.5f * Inputs[0]->data()[I];
+  }
+  void backward(const std::vector<const Tensor *> &, const Tensor &,
+                const Tensor &, LayerScratch &,
+                const std::vector<Tensor *> &) override {}
+};
+
+TEST(ServeBatcherTest, UnlowerableGraphFallsBackToTheInterpreter) {
+  auto Net = std::make_shared<AssembledNetwork>();
+  Graph &G = Net->Network;
+  G.addInput("in");
+  G.addNode("conv", std::make_unique<Conv2D>(ConvGeometry{3, 6, 3, 1, 1}),
+            {"in"});
+  G.addNode("halve", std::make_unique<HalveLayer>(), {"conv"});
+  G.addNode("gap", std::make_unique<GlobalAvgPool>(), {"halve"});
+  G.addNode("logits", std::make_unique<Dense>(6, 4), {"gap"});
+  Net->InputNode = "in";
+  Net->LogitsNode = "logits";
+  Rng Generator(5);
+  G.initParams(Generator);
+
+  RunLog Log;
+  ModelRegistry Registry(BatcherOptions(), &Log, nullptr);
+  ASSERT_FALSE(static_cast<bool>(
+      Registry.add("exotic", Net, 3, 8, 8, 4, "test")));
+  EXPECT_EQ(Log.counters().at("serve.models.plan_fallback"), 1);
+  EXPECT_EQ(Log.counters().count("serve.models.plans_compiled"), 0u);
+  ServableModel *Servable = Registry.find("exotic");
+  ASSERT_NE(Servable, nullptr);
+  EXPECT_EQ(Servable->Plan, nullptr);
+
+  const Tensor Sample = miniSample(3);
+  Result<Prediction> Out = Servable->Engine->predict(Sample);
+  ASSERT_TRUE(static_cast<bool>(Out)) << Out.message();
+  Registry.stopAll();
+
+  ExecContext Ctx(G);
+  Ctx.setInput("in", Sample);
+  Ctx.forward(G, /*Training=*/false);
+  expectRowBitIdentical(Out->Logits, Ctx.activation("logits"), 0,
+                        "fallback");
+  EXPECT_EQ(Log.counters().count("serve.predict.plan_batches"), 0u);
 }
 
 TEST(ServeBatcherPoolTest, ConcurrentWorkersAreBitIdenticalToSolo) {

@@ -253,7 +253,7 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
 
 TEST(ThreadPoolTest, ParallelForWithZeroCountIsANoOp) {
   ThreadPool Pool(2);
-  int Calls = 0;
+  std::atomic<int> Calls{0}; // Both workers bump it in the second call.
   Pool.parallelFor(0, [&](size_t) { ++Calls; });
   EXPECT_EQ(Calls, 0);
   // The pool must still be usable afterwards.
